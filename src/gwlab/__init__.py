@@ -35,6 +35,7 @@ from .correlators import (
     CapabilityError,
     CorrelatorEngine,
     Insertion,
+    InvalidKeyError,
     StabilityError,
     correlator,
     get_engine,

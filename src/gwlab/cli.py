@@ -36,7 +36,7 @@ from .cone import (
     sufficient_window,
     tangent_vector,
 )
-from .correlators import CapabilityError, StabilityError, get_engine
+from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
 from .localisation import (
     check_main_identity,
     check_splitting_weights,
@@ -400,9 +400,6 @@ def parse_correlator_query(target, query: str):
         raise UsageError(f"unparsed query fragment {leftover!r}")
     if not insertions:
         raise UsageError("query contains no insertions")
-    for alpha, _ in insertions:
-        if alpha >= target.rank:
-            raise UsageError(f"basis index {alpha} out of range for {target.name}")
     return beta, insertions
 
 
@@ -423,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "series":
             return _cmd_series(args)
         return _cmd_correlator(args)
-    except UsageError as exc:
+    except (UsageError, InvalidKeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigurationError, TruncationOverflowError) as exc:

@@ -25,8 +25,9 @@ from .series import (
     ScalarSeries,
     SeriesAccumulator,
     Truncation,
+    TruncationOverflowError,
 )
-from .targets import CohVector, TargetSpace, beta_zero, iter_betas
+from .targets import CohVector, TargetSpace, beta_add, beta_total, beta_zero, iter_betas
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,13 @@ def dilaton_unshift(q: LoopSeries) -> TPolynomial:
     return TPolynomial(target, tuple(vecs))
 
 
-@lru_cache(maxsize=None)
+# Entries are keyed by t, so an unbounded cache would keep every t a
+# long-lived process has seen; a few dozen covers the working set of one
+# verify run (one t, n up to the eps order).
+_EXPANSIONS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_EXPANSIONS_CACHE_SIZE)
 def _expansions(t: TPolynomial, n: int) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
     """Multilinear expansion of n identical t(psi) slots.
 
@@ -206,33 +213,44 @@ def s_apply(
         S(f) = f + sum Q^beta eps^n / n! <f/(z - psi), t, ..., t, phi_gamma> phi^gamma.
 
     Each f term phi_a z^j contributes its z^j outside the correlator;
-    the sum excludes only the unstable (beta, n) = (0, 0) term.
+    the sum excludes only the unstable (beta, n) = (0, 0) term.  Grades
+    add, so a kernel grade (beta, n) meets only the f terms whose own
+    grade leaves room for it within the truncation; a (beta, n) that
+    meets none builds no block.
     """
     engine = engine or get_engine(t.target)
     if f.target != t.target:
         raise MismatchError("f lives over a different target")
+    D, E = trunc.novikov_order, trunc.epsilon_order
     acc = SeriesAccumulator(t.target, trunc)
     acc.add_series(f)
     by_alpha: dict[int, list] = {}
     for (z, alpha, beta_f, eps_f), c in f.terms.items():
-        by_alpha.setdefault(alpha, []).append((z, beta_f, eps_f, c))
+        by_alpha.setdefault(alpha, []).append((z, beta_f, beta_total(beta_f), eps_f, c))
     for beta, n in _stable_pairs(t.target, trunc, 2):
+        room_beta, room_eps = D - beta_total(beta), E - n
+        fitting = []
+        for alpha, fterms in by_alpha.items():
+            fits = [
+                (z_f, beta_add(beta_f, beta), eps_f + n, c)
+                for z_f, beta_f, deg_f, eps_f, c in fterms
+                if deg_f <= room_beta and eps_f <= room_eps
+            ]
+            if fits:
+                fitting.append((alpha, fits))
+        if not fitting:
+            continue
         for weight, monos in _expansions(t, n):
-            for alpha, fterms in by_alpha.items():
+            for alpha, fits in fitting:
                 block = engine.flow_block(beta, alpha, monos)
                 if not block:
                     continue
+                scaled = [(z_f, b, e, c * weight) for z_f, b, e, c in fits]
                 for z_k, vec in block.items():
-                    for z_f, beta_f, eps_f, c in fterms:
-                        for rho, comp in enumerate(vec):
-                            if comp:
-                                acc.add(
-                                    z_f + z_k,
-                                    rho,
-                                    _badd(beta_f, beta),
-                                    eps_f + n,
-                                    c * weight * comp,
-                                )
+                    comps = [(rho, comp) for rho, comp in enumerate(vec) if comp]
+                    for z_f, b, e, cw in scaled:
+                        for rho, comp in comps:
+                            acc.add(z_f + z_k, rho, b, e, cw * comp)
     return acc.series()
 
 
@@ -267,7 +285,7 @@ def s_adjoint_corr_apply(
                             acc.add(
                                 z_exp,
                                 rho,
-                                _badd(beta_r, beta),
+                                beta_add(beta_r, beta),
                                 eps_r + n,
                                 c * weight * comp,
                             )
@@ -287,7 +305,7 @@ def tangent_vector(
                                                phi_gamma/(-z - psi)> phi^gamma.
     """
     if k > trunc.z_max - 1:
-        raise TruncationNeeded(k + 1, k + 1)
+        raise TruncationOverflowError(k + 1, trunc.z_min, trunc.z_max)
     r = LoopSeries.basis(t.target, trunc, alpha, k)
     return s_adjoint_corr_apply(t, r, -1, trunc, engine)
 
@@ -322,6 +340,3 @@ def double_bracket(
                     terms[key] = terms.get(key, Fraction(0)) + weight * val
     return ScalarSeries(trunc, terms)
 
-
-def _badd(a, b):
-    return tuple(x + y for x, y in zip(a, b))

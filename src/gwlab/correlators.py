@@ -32,7 +32,7 @@ computation is harmless.  This build is single-threaded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .targets import (
@@ -49,6 +49,11 @@ class StabilityError(ValueError):
 
 class CapabilityError(ValueError):
     """No primary backend is available for the requested target."""
+
+
+class InvalidKeyError(ValueError):
+    """A key names a basis index the target lacks, or a degree that is not
+    a non-negative class of the target's rank (or the empty degree)."""
 
 
 class Insertion(NamedTuple):
@@ -92,7 +97,12 @@ class CorrelatorEngine:
     # public surface
 
     def correlator(self, beta: NovikovDegree, insertions: Iterable) -> Fraction:
-        beta, ins = canonical_key(beta, insertions)
+        key = canonical_key(beta, insertions)
+        cached = self._values.get(key)
+        if cached is not None:
+            return cached
+        beta, ins = key
+        self._check_key(beta, ins)
         n = len(ins)
         if not is_stable(beta, n):
             raise StabilityError(
@@ -101,6 +111,19 @@ class CorrelatorEngine:
         if n == 0:
             raise StabilityError("correlators without insertions are not supported")
         return self._eval(beta, ins)
+
+    def _check_key(self, beta: NovikovDegree, ins: tuple) -> None:
+        """Runs on cache misses only; a cached key was checked when it was
+        first asked for or is a well-formed key the reduction produced."""
+        t = self.target
+        # The empty degree reads as degree zero on every target.
+        if (beta and len(beta) != t.class_rank) or any(d < 0 for d in beta):
+            raise InvalidKeyError(
+                f"degree {beta} is not a non-negative class of rank {t.class_rank} on {t.name}"
+            )
+        for a, _ in ins:
+            if not 0 <= a < t.rank:
+                raise InvalidKeyError(f"basis index {a} out of range for {t.name} (rank {t.rank})")
 
     def correlator_with_kernel(
         self,
@@ -322,7 +345,7 @@ class CorrelatorEngine:
                         * self._plane_count(d2)
                         * d1 ** 2
                         * d2
-                        * (d2 * _comb(3 * d - 4, 3 * d1 - 2) - d1 * _comb(3 * d - 4, 3 * d1 - 1))
+                        * (d2 * comb(3 * d - 4, 3 * d1 - 2) - d1 * comb(3 * d - 4, 3 * d1 - 1))
                     )
             self._plane_counts[d] = val
         return val
@@ -396,12 +419,6 @@ class CorrelatorEngine:
 
 def _sorted_replace(ins: tuple, j: int, new: tuple) -> tuple:
     return tuple(sorted(ins[:j] + (new,) + ins[j + 1:]))
-
-
-def _comb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 _ENGINES: dict[str, CorrelatorEngine] = {}

@@ -96,6 +96,16 @@ def test_z_max_below_t_degree_is_configuration_error(capsys):
     assert "z_max must be at least 2" in err
 
 
+def test_tangent_above_window_is_configuration_error(capsys):
+    code, out, err = run(
+        capsys, "series", "--target", "P1", "--which", "tangent", "--k", "9", "--t", "zero"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("configuration error: z^10 escapes the window")
+    assert "Traceback" not in err
+
+
 def test_series_dump_point_sl(capsys):
     code, out, _ = run(
         capsys,

@@ -6,6 +6,8 @@ from gwlab import (
     LoopSeries,
     MismatchError,
     TPolynomial,
+    TruncationOverflowError,
+    check_polynomiality,
     cone_point,
     default_truncation,
     descendant_potential,
@@ -20,6 +22,7 @@ from gwlab import (
     tangent_vector,
     universal_relation,
 )
+from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions
 
 PT = make_target("point")
 P1 = make_target("P1")
@@ -220,6 +223,21 @@ def test_tangent_point_zero_t_unit_direction():
     tr = default_truncation(PT, 0, 2, 0)
     tv = tangent_vector(TPolynomial.zero(PT, 0), 0, 0, tr)
     assert tv.terms == {(0, 0, (), 0): Fraction(1)}
+
+
+def test_tangent_vector_above_window_names_the_bound():
+    tr = default_truncation(P1, 1, 1, 1)
+    with pytest.raises(TruncationOverflowError) as info:
+        tangent_vector(TPolynomial.zero(P1, 1), 0, tr.z_max, tr)
+    assert (info.value.z_exp, info.value.z_min, info.value.z_max) == (tr.z_max + 1, tr.z_min, tr.z_max)
+
+
+def test_expansions_cache_is_bounded():
+    tr = default_truncation(P2, 2, 2, 1)
+    _expansions.cache_clear()
+    for seed in range(51):
+        check_polynomiality(TPolynomial.random(P2, 1, seed), tr)
+    assert _expansions.cache_info().currsize <= _EXPANSIONS_CACHE_SIZE
 
 
 def test_tangent_vector_eps_zero_part():

@@ -11,6 +11,8 @@ import pytest
 
 from gwlab import (
     CapabilityError,
+    CorrelatorEngine,
+    InvalidKeyError,
     StabilityError,
     correlator,
     get_engine,
@@ -263,6 +265,23 @@ def test_kernel_map_is_finite():
         for gamma in range(3):
             zmap = eng.correlator_with_kernel((d,), [(2, 0), (2, 0)], gamma, -1)
             assert len(zmap) <= 1  # the dimension filter pins the depth
+
+
+@pytest.mark.parametrize(
+    "beta,insertions",
+    [
+        ((1,), [(5, 0), (2, 0)]),  # P2 has no basis index 5
+        ((1,), [(-1, 0), (2, 0)]),
+        ((1, 0), [(2, 0), (2, 0)]),  # a degree of the wrong rank
+        ((-1,), [(2, 0), (2, 0), (2, 0)]),
+    ],
+)
+def test_bad_basis_index_or_degree_is_named_error(beta, insertions):
+    eng = CorrelatorEngine(make_target("P2"))
+    with pytest.raises(InvalidKeyError):
+        eng.correlator(beta, insertions)
+    assert issubclass(InvalidKeyError, ValueError)
+    assert eng.correlator((1,), [(2, 0), (2, 0)]) == 1
 
 
 def test_kernel_unstable_raises():
