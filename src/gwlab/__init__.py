@@ -34,7 +34,6 @@ from .cone import (
 from .correlators import (
     CapabilityError,
     CorrelatorEngine,
-    Insertion,
     InvalidKeyError,
     StabilityError,
     correlator,
@@ -45,7 +44,6 @@ from .correlators import (
 from .localisation import (
     SplittingRecord,
     check_main_identity,
-    check_splitting_weights,
     contribution,
     enumerate_splittings,
     localisation_sum,

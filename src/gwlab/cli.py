@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 from . import oracles
 from .checks import (
@@ -37,13 +38,7 @@ from .cone import (
     tangent_vector,
 )
 from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
-from .localisation import (
-    check_main_identity,
-    check_splitting_weights,
-    enumerate_splittings,
-    localisation_sum,
-)
-from .oracles import brute_force_splittings
+from .localisation import check_main_identity, enumerate_splittings, localisation_sum
 from .series import Truncation, TruncationOverflowError
 from .targets import ConfigurationError, iter_betas, load_target, make_target
 
@@ -260,16 +255,18 @@ def _localisation_report(t, trunc, engine, seed):
     for beta in iter_betas(target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):
             records = enumerate_splittings(target, beta, n)
-            expected = oracles.brute_force_splittings(target, beta, n)
-            got = sorted((r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf) for r in records)
-            if got != list(expected):
+            subsets = oracles.brute_force_splittings(target, beta, n)
+            shapes = [(r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf) for r in records]
+            if sorted(shapes) != sorted(subsets):
                 report.passed = False
                 report.failures.append({"enumeration": [list(beta), n]})
             if len(set(records)) != len(records):
                 report.passed = False
                 report.failures.append({"duplicate_records": [list(beta), n]})
-            bad = check_splitting_weights(records)
-            if bad:
+            # count / n! must be the record weight 1 / (n0! n_inf!)
+            if any(
+                subsets.get(s, 0) * factorial(s[3]) * factorial(s[4]) != factorial(n) for s in shapes
+            ):
                 report.passed = False
                 report.failures.append({"weights": [list(beta), n]})
     return report

@@ -154,13 +154,58 @@ def default_truncation(target: TargetSpace, D: int, E: int, T: int) -> Truncatio
     return Truncation(D, E, z_min, z_max)
 
 
-def _stable_pairs(target: TargetSpace, trunc: Truncation, extra_points: int):
-    """(beta, n) pairs within truncation for which (beta, n + extra_points)
-    is a stable configuration."""
+def _stable_pairs(
+    target: TargetSpace, trunc: Truncation, extra_points: int, eps_order: int | None = None
+):
+    """(beta, n) pairs with beta within the Novikov order and n at most
+    ``eps_order`` (the truncation's eps order by default) for which
+    (beta, n + extra_points) is a stable configuration."""
+    top = trunc.epsilon_order if eps_order is None else eps_order
     for beta in iter_betas(target.class_rank, trunc.novikov_order):
-        for n in range(trunc.epsilon_order + 1):
+        for n in range(top + 1):
             if is_stable(beta, n + extra_points):
                 yield beta, n
+
+
+def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) -> None:
+    """Add sum Q^beta eps^n / n! (operand paired with a kernel block) to acc.
+
+    ``grades`` lists the kernel grades (beta, n); ``operand`` is a list of
+    (key, terms) with terms (z_out, beta_o, eps_o, c); ``block(beta, key,
+    monos)`` is the kernel, a map z_k -> vector, for the operand key and
+    the n t-insertions ``monos``.  Each term adds c * weight * block at
+    z_out + z_k in grade (beta_o + beta, eps_o + n).  Grades add, so a
+    kernel grade meets only the terms whose own grade leaves room for it
+    within the truncation; a grade that meets none builds no block.
+    """
+    D, E = acc.trunc.novikov_order, acc.trunc.epsilon_order
+    graded = [
+        (key, [(z, b, beta_total(b), e, c) for z, b, e, c in terms]) for key, terms in operand
+    ]
+    for beta, n in grades:
+        room_beta, room_eps = D - beta_total(beta), E - n
+        fitting = []
+        for key, terms in graded:
+            fits = [
+                (z, beta_add(b, beta), e + n, c)
+                for z, b, deg, e, c in terms
+                if deg <= room_beta and e <= room_eps
+            ]
+            if fits:
+                fitting.append((key, fits))
+        if not fitting:
+            continue
+        for weight, monos in _expansions(t, n):
+            for key, fits in fitting:
+                kernel = block(beta, key, monos)
+                if not kernel:
+                    continue
+                scaled = [(z, b, e, c * weight) for z, b, e, c in fits]
+                for z_k, vec in kernel.items():
+                    comps = [(rho, comp) for rho, comp in enumerate(vec) if comp]
+                    for z, b, e, cw in scaled:
+                        for rho, comp in comps:
+                            acc.add(z + z_k, rho, b, e, cw * comp)
 
 
 def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> ScalarSeries:
@@ -170,17 +215,7 @@ def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEn
     grade is omitted; the potential is only ever consumed through its
     derivatives, which never see that grade.
     """
-    engine = engine or get_engine(t.target)
-    terms: dict = {}
-    for beta, n in _stable_pairs(t.target, trunc, 0):
-        if n == 0:
-            continue
-        for weight, monos in _expansions(t, n):
-            val = engine.correlator(beta, monos)
-            if val:
-                key = (beta, n)
-                terms[key] = terms.get(key, Fraction(0)) + weight * val
-    return ScalarSeries(trunc, terms)
+    return _bracket_sum(t, (), trunc, engine or get_engine(t.target), 0)
 
 
 def cone_point(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> LoopSeries:
@@ -194,11 +229,11 @@ def cone_point(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | Non
     engine = engine or get_engine(t.target)
     acc = SeriesAccumulator(t.target, trunc)
     acc.add_series(dilaton_shift(t, trunc))
-    for beta, n in _stable_pairs(t.target, trunc, 1):
-        for weight, monos in _expansions(t, n):
-            block = engine.fibre_block(beta, monos, -1)
-            for z_exp, vec in block.items():
-                acc.add_vector(z_exp, vec, beta, n, weight)
+    unit = [((), [(0, beta_zero(t.target.class_rank), 0, Fraction(1))])]
+    _kernel_sum(
+        acc, t, _stable_pairs(t.target, trunc, 1), unit,
+        lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, -1),
+    )
     return acc.series()
 
 
@@ -213,44 +248,17 @@ def s_apply(
         S(f) = f + sum Q^beta eps^n / n! <f/(z - psi), t, ..., t, phi_gamma> phi^gamma.
 
     Each f term phi_a z^j contributes its z^j outside the correlator;
-    the sum excludes only the unstable (beta, n) = (0, 0) term.  Grades
-    add, so a kernel grade (beta, n) meets only the f terms whose own
-    grade leaves room for it within the truncation; a (beta, n) that
-    meets none builds no block.
+    the sum excludes only the unstable (beta, n) = (0, 0) term.
     """
     engine = engine or get_engine(t.target)
     if f.target != t.target:
         raise MismatchError("f lives over a different target")
-    D, E = trunc.novikov_order, trunc.epsilon_order
     acc = SeriesAccumulator(t.target, trunc)
     acc.add_series(f)
     by_alpha: dict[int, list] = {}
     for (z, alpha, beta_f, eps_f), c in f.terms.items():
-        by_alpha.setdefault(alpha, []).append((z, beta_f, beta_total(beta_f), eps_f, c))
-    for beta, n in _stable_pairs(t.target, trunc, 2):
-        room_beta, room_eps = D - beta_total(beta), E - n
-        fitting = []
-        for alpha, fterms in by_alpha.items():
-            fits = [
-                (z_f, beta_add(beta_f, beta), eps_f + n, c)
-                for z_f, beta_f, deg_f, eps_f, c in fterms
-                if deg_f <= room_beta and eps_f <= room_eps
-            ]
-            if fits:
-                fitting.append((alpha, fits))
-        if not fitting:
-            continue
-        for weight, monos in _expansions(t, n):
-            for alpha, fits in fitting:
-                block = engine.flow_block(beta, alpha, monos)
-                if not block:
-                    continue
-                scaled = [(z_f, b, e, c * weight) for z_f, b, e, c in fits]
-                for z_k, vec in block.items():
-                    comps = [(rho, comp) for rho, comp in enumerate(vec) if comp]
-                    for z_f, b, e, cw in scaled:
-                        for rho, comp in comps:
-                            acc.add(z_f + z_k, rho, b, e, cw * comp)
+        by_alpha.setdefault(alpha, []).append((z, beta_f, eps_f, c))
+    _kernel_sum(acc, t, _stable_pairs(t.target, trunc, 2), list(by_alpha.items()), engine.flow_block)
     return acc.series()
 
 
@@ -275,20 +283,14 @@ def s_adjoint_corr_apply(
         raise MismatchError("r must be a z-polynomial element")
     acc = SeriesAccumulator(t.target, trunc)
     acc.add_series(r)
-    for beta, n in _stable_pairs(t.target, trunc, 2):
-        for weight, monos in _expansions(t, n):
-            for (z_r, alpha, beta_r, eps_r), c in r.terms.items():
-                block = engine.fibre_block(beta, tuple(sorted(monos + ((alpha, z_r),))), sign)
-                for z_exp, vec in block.items():
-                    for rho, comp in enumerate(vec):
-                        if comp:
-                            acc.add(
-                                z_exp,
-                                rho,
-                                beta_add(beta_r, beta),
-                                eps_r + n,
-                                c * weight * comp,
-                            )
+    slots = [
+        (((alpha, z_r),), [(0, beta_r, eps_r, c)])
+        for (z_r, alpha, beta_r, eps_r), c in r.terms.items()
+    ]
+    _kernel_sum(
+        acc, t, _stable_pairs(t.target, trunc, 2), slots,
+        lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, sign),
+    )
     return acc.series()
 
 
@@ -324,19 +326,22 @@ def double_bracket(
     over the stable range.  ``extra_eps`` shifts the eps grading, used
     when a fixed slot is itself a t-monomial carrying its own order.
     """
-    engine = engine or get_engine(t.target)
     fixed = tuple(sorted((int(a), int(k)) for a, k in fixed))
     if not fixed:
         raise ValueError("needs at least one fixed insertion")
-    terms: dict = {}
-    for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
-        for n in range(trunc.epsilon_order - extra_eps + 1):
-            if not is_stable(beta, n + len(fixed)):
-                continue
-            for weight, monos in _expansions(t, n):
-                val = engine.correlator(beta, fixed + monos)
-                if val:
-                    key = (beta, n + extra_eps)
-                    terms[key] = terms.get(key, Fraction(0)) + weight * val
-    return ScalarSeries(trunc, terms)
+    return _bracket_sum(t, fixed, trunc, engine or get_engine(t.target), extra_eps)
 
+
+def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
+    """sum Q^beta eps^(n + extra_eps) / n! <fixed..., t(psi) x n> over the
+    stable (beta, n), leaving out the insertion-free correlators."""
+    terms: dict = {}
+    for beta, n in _stable_pairs(t.target, trunc, len(fixed), trunc.epsilon_order - extra_eps):
+        if not fixed and not n:
+            continue
+        for weight, monos in _expansions(t, n):
+            val = engine.correlator(beta, fixed + monos)
+            if val:
+                key = (beta, n + extra_eps)
+                terms[key] = terms.get(key, Fraction(0)) + weight * val
+    return ScalarSeries(trunc, terms)

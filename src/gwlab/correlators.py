@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .targets import (
     CohVector,
@@ -54,11 +54,6 @@ class CapabilityError(ValueError):
 class InvalidKeyError(ValueError):
     """A key names a basis index the target lacks, or a degree that is not
     a non-negative class of the target's rank (or the empty degree)."""
-
-
-class Insertion(NamedTuple):
-    alpha: int
-    psi: int
 
 
 Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
@@ -89,8 +84,7 @@ class CorrelatorEngine:
         self.target = target
         self._values: dict[Key, Fraction] = {}
         self._active: set[Key] = set()
-        self._fibre_blocks: dict = {}
-        self._flow_blocks: dict = {}
+        self._blocks: dict = {}
         self._plane_counts: dict[int, Fraction] = {}
 
     # ------------------------------------------------------------------
@@ -159,39 +153,35 @@ class CorrelatorEngine:
 
     def fibre_block(self, beta: NovikovDegree, fixed: tuple, sign: int) -> dict[int, CohVector]:
         """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma per z-exponent."""
-        fixed = tuple(sorted(fixed))
-        key = (beta, fixed, sign)
-        block = self._fibre_blocks.get(key)
-        if block is None:
-            block = {}
-            for gamma in range(self.target.rank):
-                for z_exp, val in self.correlator_with_kernel(beta, fixed, gamma, sign).items():
-                    vec = self.target.dual_basis_vector(gamma)
-                    acc = block.setdefault(z_exp, [Fraction(0)] * self.target.rank)
-                    for rho, comp in enumerate(vec):
-                        if comp:
-                            acc[rho] += val * comp
-            block = {z: tuple(v) for z, v in block.items() if any(v)}
-            self._fibre_blocks[key] = block
-        return block
+        return self._block(beta, None, tuple(sorted(fixed)), sign)
 
     def flow_block(self, beta: NovikovDegree, kernel_alpha: int, fixed: tuple) -> dict[int, CohVector]:
         """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma per z-exponent."""
-        fixed = tuple(sorted(fixed))
-        key = (beta, kernel_alpha, fixed)
-        block = self._flow_blocks.get(key)
+        return self._block(beta, kernel_alpha, tuple(sorted(fixed)), +1)
+
+    def _block(self, beta, kernel_alpha, fixed, sign) -> dict[int, CohVector]:
+        """The kernel sits on phi_gamma when ``kernel_alpha`` is None (a
+        fibre block), else on phi_a with phi_gamma a plain slot (a flow
+        block)."""
+        key = (beta, kernel_alpha, fixed, sign)
+        block = self._blocks.get(key)
         if block is None:
+            rank = self.target.rank
             block = {}
-            for gamma in range(self.target.rank):
-                ext = fixed + ((gamma, 0),)
-                for z_exp, val in self.correlator_with_kernel(beta, ext, kernel_alpha, +1).items():
+            for gamma in range(rank):
+                if kernel_alpha is None:
+                    kernel = self.correlator_with_kernel(beta, fixed, gamma, sign)
+                else:
+                    ext = fixed + ((gamma, 0),)
+                    kernel = self.correlator_with_kernel(beta, ext, kernel_alpha, sign)
+                for z_exp, val in kernel.items():
                     vec = self.target.dual_basis_vector(gamma)
-                    acc = block.setdefault(z_exp, [Fraction(0)] * self.target.rank)
+                    acc = block.setdefault(z_exp, [Fraction(0)] * rank)
                     for rho, comp in enumerate(vec):
                         if comp:
                             acc[rho] += val * comp
             block = {z: tuple(v) for z, v in block.items() if any(v)}
-            self._flow_blocks[key] = block
+            self._blocks[key] = block
         return block
 
     # ------------------------------------------------------------------

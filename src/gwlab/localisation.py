@@ -5,27 +5,30 @@ A torus-fixed configuration splits the source curve into a piece over
 the zero end, a bridge mapped onto a fibre, and a piece over the
 infinity end.  Besides the generic shape there are five degenerate
 kinds, reflecting which end fails to carry a stable space of its own.
-Summing every weighted contribution reproduces the transform of the
-cone point under the solution operator, coefficient by coefficient;
-``check_main_identity`` verifies this against the independently built
-right-hand side.
 
-Marking sets are never materialised: contributions depend only on how
-many markings sit on each end, because all non-relative insertions
-carry the identical class t(psi).  The binomial choice factor combined
-with 1/n! is exactly the product of the per-end 1/n_i! weights, an
-identity asserted symbolically by ``check_splitting_weights``.
+Each contribution is a zero-end piece in grade (beta0, n0) -- the
+dilaton summand -z*1, t(z), or the fibre kernel of the cone point --
+flowed by the solution operator's kernel in grade (beta_inf, n_inf)
+when the infinity end exists.  Summed over every record this is the
+solution operator applied to the cone point, coefficient by
+coefficient; ``check_main_identity`` verifies it against the
+independently built right-hand side.
+
+Contributions depend only on how many markings sit on each end, because
+all non-relative insertions carry the identical class t(psi), so a
+record stands for all C(n, n0) marking subsets of its shape and its
+weight 1/(n0! n_inf!) is their count times 1/n!.
+``oracles.brute_force_splittings`` walks the subsets one by one to
+check both the records and that count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable
 
 from .checks import CheckReport, _fraction_record, _timed, _trunc_params
-from .cone import TPolynomial, _expansions, cone_point, s_apply
+from .cone import TPolynomial, _kernel_sum, cone_point, s_apply
 from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation
 from .targets import (
@@ -88,6 +91,18 @@ def enumerate_splittings(target: TargetSpace, beta: NovikovDegree, n: int) -> li
     return records
 
 
+class _ZeroEnd(SeriesAccumulator):
+    """The zero-end piece of a record with an infinity end.  Its
+    z-exponents meet the window only after the infinity end's kernel has
+    added its own, so none is checked here."""
+
+    __slots__ = ()
+
+    def add(self, z_exp, alpha, beta, eps, value) -> None:
+        key = (z_exp, alpha, beta, eps)
+        self._terms[key] = self._terms.get(key, Fraction(0)) + value
+
+
 def contribution(
     rec: SplittingRecord,
     t: TPolynomial,
@@ -98,67 +113,43 @@ def contribution(
     Q^beta and the combinatorial weight eps^n / (n0! n_inf!).
 
     The bridge factor -z of the localised class cancels against the
-    bridge deformation in the normal bundle, leaving one kernel per
-    surviving end:
+    bridge deformation in the normal bundle, leaving a zero-end piece in
+    grade (beta0, n0), flowed by the kernel of the infinity end when that
+    end exists.  The zero-end piece is
 
-      case1    -z * 1
-      case2    t(z)
-      case3    <(-z*1/(z - psi)), t.., phi_gamma> phi^gamma
-      case4    <(t(z)/(z - psi)), t.., phi_gamma> phi^gamma, the end
-               marking frozen at the pure weight z
-      case5    <t.., phi_gamma/(-z - psi)> phi^gamma
-      generic  <t.., phi_a/(-z - psi)> <phi^a/(z - psi), t.., phi_gamma> phi^gamma
+      -z * 1                                       (degree 0, no marking)
+      t(z)                                         (degree 0, one marking)
+      <t.., phi_gamma/(-z - psi)>_{beta0} phi^gamma   (otherwise),
+
+    and the infinity end maps each phi_a z^j of it to
+
+      <phi_a/(z - psi), t.., phi_gamma>_{beta_inf} phi^gamma z^j,
+
+    the kernel of the solution operator in grade (beta_inf, n_inf).  So
+    case1, case2 and case5 are the bare zero-end piece, case3 and case4
+    flow -z*1 and t(z), and the generic record flows the fibre kernel.
     """
     engine = engine or get_engine(t.target)
     target = t.target
-    acc = SeriesAccumulator(target, trunc)
-    beta = rec.beta
-    n = rec.n
     b00 = beta_zero(target.class_rank)
-
-    if rec.kind == "case1":
-        acc.add(1, 0, b00, 0, Fraction(-1))
-    elif rec.kind == "case2":
-        for j, a, c in t.monomials():
-            acc.add(j, a, b00, 1, c)
-    elif rec.kind == "case3":
-        for weight, monos in _expansions(t, n):
-            block = engine.flow_block(beta, 0, monos)
-            for z_exp, vec in block.items():
-                # -z times the unit kernel: shift the exponent, flip the sign.
-                acc.add_vector(z_exp + 1, vec, beta, n, -weight)
-    elif rec.kind == "case4":
-        for weight, monos in _expansions(t, rec.n_inf):
-            for j, a, c in t.monomials():
-                block = engine.flow_block(beta, a, monos)
-                for z_exp, vec in block.items():
-                    acc.add_vector(z_exp + j, vec, beta, n, weight * c)
-    elif rec.kind == "case5":
-        for weight, monos in _expansions(t, n):
-            block = engine.fibre_block(beta, monos, -1)
-            for z_exp, vec in block.items():
-                acc.add_vector(z_exp, vec, beta, n, weight)
+    acc = SeriesAccumulator(target, trunc)
+    inf_end = any(rec.beta_inf) or rec.n_inf > 0
+    zero = _ZeroEnd(target, trunc) if inf_end else acc
+    if any(rec.beta0) or rec.n0 >= 2:
+        unit = [((), [(0, b00, 0, Fraction(1))])]
+        _kernel_sum(
+            zero, t, [(rec.beta0, rec.n0)], unit,
+            lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, -1),
+        )
+    elif rec.n0 == 0:
+        zero.add(1, 0, b00, 0, Fraction(-1))
     else:
-        pinv = target.pairing_inverse
-        for w0, monos0 in _expansions(t, rec.n0):
-            kernels = {}
-            for a in range(target.rank):
-                zmap = engine.correlator_with_kernel(rec.beta0, monos0, a, -1)
-                if zmap:
-                    kernels[a] = zmap
-            if not kernels:
-                continue
-            for w1, monos1 in _expansions(t, rec.n_inf):
-                for a, zmap in kernels.items():
-                    for nu, w_dual in enumerate(pinv[a]):
-                        if not w_dual:
-                            continue
-                        block = engine.flow_block(rec.beta_inf, nu, monos1)
-                        for z0, v0 in zmap.items():
-                            for z1, vec in block.items():
-                                acc.add_vector(
-                                    z0 + z1, vec, beta, n, w0 * w1 * v0 * w_dual
-                                )
+        for j, a, c in t.monomials():
+            zero.add(j, a, b00, 1, c)
+    if inf_end:
+        # Fibre kernels of different t-expansions can cancel at a term.
+        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero._terms.items() if c]
+        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
     return acc.series()
 
 
@@ -212,22 +203,3 @@ def check_main_identity(
         failures=failures,
         seed=seed,
     )
-
-
-def check_splitting_weights(records: Iterable[SplittingRecord]) -> list[SplittingRecord]:
-    """Assert the weight regrouping identity on generic records:
-
-        (n choose n_inf) / n! == 1 / (n0! n_inf!)
-
-    Returns the records that violate it (always empty; kept as an
-    explicit runtime assertion for the verification suite).
-    """
-    bad = []
-    for rec in records:
-        if rec.kind != "generic":
-            continue
-        lhs = Fraction(comb(rec.n, rec.n_inf), factorial(rec.n))
-        rhs = Fraction(1, factorial(rec.n0) * factorial(rec.n_inf))
-        if lhs != rhs:
-            bad.append(rec)
-    return bad

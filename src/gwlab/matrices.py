@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cone import TPolynomial, _expansions, _stable_pairs
-from .correlators import CorrelatorEngine, get_engine
+from .cone import TPolynomial, s_adjoint_corr_apply, s_apply
+from .correlators import CorrelatorEngine
 from .series import LoopSeries, MismatchError, SeriesAccumulator, Truncation
 from .targets import TargetSpace, beta_add, beta_total, beta_zero
 
@@ -76,22 +76,18 @@ def _add_entry(entries, trunc, z, row, col, beta, eps, val):
         del entries[key]
 
 
+def _columns(target: TargetSpace, trunc: Truncation, apply) -> EndoSeries:
+    """The matrix whose column col is apply(phi_col)."""
+    entries = {}
+    for col in range(target.rank):
+        for (z, row, beta, eps), val in apply(LoopSeries.basis(target, trunc, col)).terms.items():
+            entries[(z, row, col, beta, eps)] = val
+    return EndoSeries(target, trunc, entries)
+
+
 def s_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> EndoSeries:
     """Column alpha is the solution operator applied to phi_alpha."""
-    engine = engine or get_engine(t.target)
-    target = t.target
-    entries = {}
-    b0 = beta_zero(target.class_rank)
-    for a in range(target.rank):
-        _add_entry(entries, trunc, 0, a, a, b0, 0, Fraction(1))
-    for beta, n in _stable_pairs(target, trunc, 2):
-        for weight, monos in _expansions(t, n):
-            for col in range(target.rank):
-                block = engine.flow_block(beta, col, monos)
-                for z_exp, vec in block.items():
-                    for row, comp in enumerate(vec):
-                        _add_entry(entries, trunc, z_exp, row, col, beta, n, weight * comp)
-    return EndoSeries(target, trunc, entries)
+    return _columns(t.target, trunc, lambda f: s_apply(t, f, trunc, engine))
 
 
 def s_adjoint_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> EndoSeries:
@@ -99,20 +95,7 @@ def s_adjoint_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine
 
         S*(z)(v) = v + sum Q^beta eps^n / n! <v, t, ..., t, phi_a/(z - psi)> phi^a.
     """
-    engine = engine or get_engine(t.target)
-    target = t.target
-    entries = {}
-    b0 = beta_zero(target.class_rank)
-    for a in range(target.rank):
-        _add_entry(entries, trunc, 0, a, a, b0, 0, Fraction(1))
-    for beta, n in _stable_pairs(target, trunc, 2):
-        for weight, monos in _expansions(t, n):
-            for col in range(target.rank):
-                block = engine.fibre_block(beta, tuple(sorted(monos + ((col, 0),))), +1)
-                for z_exp, vec in block.items():
-                    for row, comp in enumerate(vec):
-                        _add_entry(entries, trunc, z_exp, row, col, beta, n, weight * comp)
-    return EndoSeries(target, trunc, entries)
+    return _columns(t.target, trunc, lambda r: s_adjoint_corr_apply(t, r, +1, trunc, engine))
 
 
 def flip_z(e: EndoSeries) -> EndoSeries:

@@ -4,7 +4,7 @@ Everything here is deliberately independent of the reduction system in
 ``correlators``: the point-target evaluator only knows the string
 equation and the three-point base case, the plane-curve counts come
 from the classical associativity recursion, and the fixed-locus
-enumerator is a naive filter over all splittings.  These are the ground
+enumerator walks every explicit marking subset.  These are the ground
 truths the test suite and the ``engine-oracles`` verification suite
 compare against.
 """
@@ -86,38 +86,31 @@ def rational_plane_curves(d: int) -> Fraction:
 
 def brute_force_splittings(
     target: TargetSpace, beta: NovikovDegree, n: int
-) -> list[tuple[str, NovikovDegree, NovikovDegree, int, int]]:
-    """Classify every splitting of (beta, n) across the two fixed ends.
+) -> dict[tuple[str, NovikovDegree, NovikovDegree, int, int], int]:
+    """Classify every splitting of (beta, n) with its marking set explicit.
 
-    A splitting assigns a degree and a set of markings to the zero end
-    and to the infinity end.  The zero end carries a stable map with an
-    extra node point, so it exists on its own iff its degree is nonzero
-    or it has at least two markings plus the node; the infinity end is a
-    fibre-class piece that exists iff it carries something at all.  The
-    five degenerate kinds cover the failures.  Returns (kind, beta0,
-    beta_inf, n0, n_inf) tuples in a deterministic order.
+    For each degree beta0 <= beta on the zero end and each subset S of
+    the markings {1..n} placed there, the zero end exists on its own iff
+    beta0 != 0 or it holds two markings beside the node, and the
+    infinity end iff it carries degree or a marking.  The two verdicts
+    and |S| name the kind.  Returns (kind, beta0, beta_inf, n0, n_inf)
+    -> the number of subsets S of that shape, so the records must match
+    the fixed-locus enumeration and each count / n! must be the
+    per-record weight 1 / (n0! n_inf!).
     """
-    records = []
+    counts: dict = {}
     for beta0, beta_inf in beta_splits(beta):
-        for n0 in range(n + 1):
-            n_inf = n - n0
-            zero_end_alone = (not any(beta0)) and n0 <= 1
-            inf_end_empty = (not any(beta_inf)) and n_inf == 0
-            if zero_end_alone and inf_end_empty:
-                kind = "case1" if (n0, n_inf) == (0, 0) else "case2"
-            elif (not any(beta0)) and n0 == 0:
-                kind = "case3"
-            elif (not any(beta0)) and n0 == 1:
-                if (not any(beta_inf)) and n_inf == 0:
-                    continue  # infinity end empty: covered by case2 above
-                kind = "case4"
-            elif inf_end_empty:
-                kind = "case5"
+        for mask in range(1 << n):
+            n0 = bin(mask).count("1")
+            zero_end = any(beta0) or n0 >= 2
+            inf_end = any(beta_inf) or n0 < n
+            if zero_end:
+                kind = "generic" if inf_end else "case5"
             else:
-                kind = "generic"
-            records.append((kind, beta0, beta_inf, n0, n_inf))
-    records.sort()
-    return records
+                kind = ("case3", "case4")[n0] if inf_end else ("case1", "case2")[n0]
+            key = (kind, beta0, beta_inf, n0, n - n0)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def projective_one_point_descendants(r: int, d: int) -> dict[tuple[int, int], Fraction]:

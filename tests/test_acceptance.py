@@ -4,7 +4,9 @@ statement; the stated wall-clock bounds are asserted too."""
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 from gwlab import (
     TPolynomial,
@@ -14,7 +16,6 @@ from gwlab import (
     check_lagrangian,
     check_main_identity,
     check_polynomiality,
-    check_splitting_weights,
     check_universal_relations,
     default_truncation,
     enumerate_splittings,
@@ -23,6 +24,7 @@ from gwlab import (
     vdim,
 )
 from gwlab.oracles import (
+    brute_force_splittings,
     point_psi_closed_form,
     point_psi_integral,
     rational_plane_curves,
@@ -124,8 +126,12 @@ def test_criterion_5_main_identity_and_criterion_9_weights():
         for beta in ([()] if target.class_rank == 0 else
                      [(d,) for d in range(trunc.novikov_order + 1)]):
             for n in range(trunc.epsilon_order + 1):
-                records = enumerate_splittings(target, beta, n)
-                weight_ok = weight_ok and not check_splitting_weights(records)
+                subsets = brute_force_splittings(target, beta, n)
+                for r in enumerate_splittings(target, beta, n):
+                    count = subsets.get((r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf), 0)
+                    weight_ok = weight_ok and (
+                        Fraction(count, factorial(n)) == Fraction(1, factorial(r.n0) * factorial(r.n_inf))
+                    )
         _report(5, f"fixed-locus sum equals transformed cone on {target.name}",
                 ok, time.perf_counter() - started, 300.0)
     _report(9, "generic splitting weights factor into per-end weights",

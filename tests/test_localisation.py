@@ -1,10 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 from gwlab import (
     LoopSeries,
     TPolynomial,
     check_main_identity,
-    check_splitting_weights,
     cone_point,
     contribution,
     default_truncation,
@@ -16,6 +16,7 @@ from gwlab import (
 )
 from gwlab.localisation import SplittingRecord
 from gwlab.oracles import brute_force_splittings
+from gwlab.targets import beta_splits
 
 PT = make_target("point")
 P1 = make_target("P1")
@@ -55,7 +56,8 @@ def test_enumerate_matches_brute_force_oracle():
             for n in range(5):
                 got = _as_tuples(enumerate_splittings(target, beta, n))
                 want = brute_force_splittings(target, beta, n)
-                assert got == list(want), (target.name, beta, n)
+                assert got == sorted(want), (target.name, beta, n)
+                assert sum(want.values()) == len(beta_splits(beta)) * 2 ** n
 
 
 def test_records_disjoint_and_unique():
@@ -68,9 +70,14 @@ def test_records_disjoint_and_unique():
 
 
 def test_weight_identity():
+    # Each record stands for all the marking subsets of its shape, so
+    # their count over n! is the record weight 1 / (n0! n_inf!).
     for d in range(4):
         for n in range(5):
-            assert check_splitting_weights(enumerate_splittings(P1, (d,), n)) == []
+            subsets = brute_force_splittings(P1, (d,), n)
+            for rec in enumerate_splittings(P1, (d,), n):
+                key = (rec.kind, rec.beta0, rec.beta_inf, rec.n0, rec.n_inf)
+                assert Fraction(subsets[key], factorial(n)) == Fraction(1, factorial(rec.n0) * factorial(rec.n_inf))
 
 
 def test_contribution_case1_and_case2():
