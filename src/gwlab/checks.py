@@ -22,9 +22,9 @@ from .cone import (
     tangent_vector,
 )
 from .correlators import CorrelatorEngine, get_engine
-from .matrices import compose, flip_z, s_adjoint_matrix, s_matrix
+from .matrices import compose, s_adjoint_matrix, s_matrix
 from .series import LoopSeries, ScalarSeries, Truncation
-from .targets import TargetSpace, beta_zero, iter_betas
+from .targets import TargetSpace, beta_add, beta_zero, iter_betas
 
 
 @dataclass
@@ -77,10 +77,6 @@ def _trunc_params(trunc: Truncation) -> dict:
 # Darboux relations for the symplectic form.
 
 
-def _basis_a(target, trunc, alpha, k) -> LoopSeries:
-    return LoopSeries.basis(target, trunc, alpha, k)
-
-
 def _basis_b(target, trunc, gamma, l) -> LoopSeries:
     """phi^gamma (-z)^{-1-l} as a series: sign (-1)^{1+l} at z^{-1-l}."""
     vec = target.dual_basis_vector(gamma)
@@ -97,7 +93,9 @@ def check_darboux(target: TargetSpace, k_max: int = 6) -> CheckReport:
     trunc = Truncation(0, 0, -(k_max + 2), k_max + 1)
     failures = []
     rank = target.rank
-    avs = {(a, k): _basis_a(target, trunc, a, k) for a in range(rank) for k in range(k_max + 1)}
+    avs = {
+        (a, k): LoopSeries.basis(target, trunc, a, k) for a in range(rank) for k in range(k_max + 1)
+    }
     bvs = {(g, l): _basis_b(target, trunc, g, l) for g in range(rank) for l in range(k_max + 1)}
     for (a, k), av in avs.items():
         for (a2, k2), av2 in avs.items():
@@ -338,41 +336,34 @@ def _solve_membership(columns: list[dict], targets: list[dict]) -> tuple[int, li
     """Exact rank of the column span and membership of each target vector.
 
     Vectors are sparse maps key -> Fraction over an arbitrary index set.
-    Returns (rank, in_span flags) via fraction-exact elimination.
+    Each column is reduced against the pivots kept so far, in order; a
+    nonzero remainder becomes a new pivot, normalised to 1 at its least
+    key.  Every later pivot vanishes at the earlier leading keys, so a
+    vector lies in the span iff it reduces to zero.
     """
-    keys = sorted({k for col in columns for k in col} | {k for v in targets for k in v})
-    index = {k: i for i, k in enumerate(keys)}
-    rows = len(keys)
-    mat = [[Fraction(0)] * len(columns) for _ in range(rows)]
-    for c, col in enumerate(columns):
-        for k, val in col.items():
-            mat[index[k]][c] = val
-    aug = [[Fraction(0)] * len(targets) for _ in range(rows)]
-    for ti, vec in enumerate(targets):
-        for k, val in vec.items():
-            aug[index[k]][ti] = val
-    r = 0
-    for c in range(len(columns)):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    # After elimination rows r.. of the column matrix are zero, so a target
-    # lies in the span iff its residual vanishes there.
-    in_span = [
-        all(not aug[i][ti] for i in range(r, rows)) for ti in range(len(targets))
-    ]
-    return r, in_span
+    pivots: list[tuple] = []
+
+    def reduce(vec: dict) -> dict:
+        rem = {key: val for key, val in vec.items() if val}
+        for lead, piv in pivots:
+            f = rem.get(lead)
+            if not f:
+                continue
+            for key, val in piv.items():
+                x = rem.get(key, 0) - f * val
+                if x:
+                    rem[key] = x
+                else:
+                    rem.pop(key, None)
+        return rem
+
+    for col in columns:
+        rem = reduce(col)
+        if rem:
+            lead = min(rem)
+            inv = 1 / rem[lead]
+            pivots.append((lead, {key: val * inv for key, val in rem.items()}))
+    return len(pivots), [not reduce(vec) for vec in targets]
 
 
 @_timed
@@ -388,10 +379,12 @@ def check_cone_in_tangent(
     Part one is the operator criterion: applying the solution operator
     to the cone point must land in z*H_plus (shared with the
     polynomiality check, as the two statements are equivalent through
-    the inverse identity).  Part two is empirical: each tangent vector
-    must lie, at truncation, in the span of the z-linear images of the
-    flipped adjoint matrix on monomials of H_plus, with scalars drawn
-    from truncated Novikov/eps monomials.  Exact ranks are reported.
+    the inverse identity).  Part two is empirical: the tangent space is
+    the ground-ring span of S*(-z) H_plus, and S*(-z) phi_rho is the
+    k = 0 tangent vector of phi_rho.  So each tangent vector must lie,
+    at truncation, in the span of the k = 0 tangent vectors shifted by
+    z^j Q^beta eps^e, every shift cut to the retained grades.  Exact
+    ranks are reported.
     """
     engine = engine or get_engine(t.target)
     target = t.target
@@ -402,36 +395,24 @@ def check_cone_in_tangent(
         {"part": "operator", "key": [z, a, list(b), e]} for (z, a, b, e) in offenders
     ]
 
-    s_adj_flipped = flip_z(s_adjoint_matrix(t, trunc, engine))
-    j_max = max(t.degree, 1)
-    wide = Truncation(
-        trunc.novikov_order,
-        trunc.epsilon_order,
-        trunc.z_min + s_adj_flipped.trunc.z_min,
-        trunc.z_max + s_adj_flipped.trunc.z_max,
-    )
+    base = [tangent_vector(t, rho, 0, trunc, engine) for rho in range(target.rank)]
+    labels = [(alpha, k) for alpha in range(target.rank) for k in range(max(t.degree, 0) + 1)]
+    targets_vecs = [
+        (tangent_vector(t, alpha, k, trunc, engine) if k else base[alpha]).terms
+        for alpha, k in labels
+    ]
     columns = []
-    for rho in range(target.rank):
-        for j in range(j_max + 1):
-            base = s_adj_flipped.apply_linear(LoopSeries.basis(target, wide, rho, j), wide)
-            # Scalars of the truncated ground ring enter as monomial
-            # multiplier copies of each image.
+    for vec in base:
+        for j in range(max(t.degree, 1) + 1):
             for beta in iter_betas(target.class_rank, trunc.novikov_order):
                 for eps in range(trunc.epsilon_order + 1):
                     shifted = {}
-                    for (z, a, b, e), val in base.terms.items():
-                        nb = tuple(x + y for x, y in zip(b, beta))
-                        if wide.admits_grade(nb, e + eps):
-                            shifted[(z, a, nb, e + eps)] = val
+                    for (z, a, b, e), val in vec.terms.items():
+                        nb = beta_add(b, beta)
+                        if trunc.admits_grade(nb, e + eps):
+                            shifted[(z + j, a, nb, e + eps)] = val
                     if shifted:
                         columns.append(shifted)
-    targets_vecs = []
-    labels = []
-    for alpha in range(target.rank):
-        for k in range(max(t.degree, 0) + 1):
-            tv = tangent_vector(t, alpha, k, trunc, engine)
-            targets_vecs.append(dict(tv.terms))
-            labels.append((alpha, k))
     rank, in_span = _solve_membership(columns, targets_vecs)
     for label, ok in zip(labels, in_span):
         if not ok:

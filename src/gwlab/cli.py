@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
-import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 from . import oracles
 from .checks import (
     CheckReport,
+    _timed,
+    _trunc_params,
     check_cone_in_tangent,
     check_darboux,
     check_inverse,
@@ -37,7 +40,7 @@ from .cone import (
     sufficient_window,
     tangent_vector,
 )
-from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
+from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine, vdim
 from .localisation import check_main_identity, enumerate_splittings, localisation_sum
 from .series import Truncation, TruncationOverflowError
 from .targets import ConfigurationError, iter_betas, load_target, make_target
@@ -104,9 +107,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    return data
+
+
+# JSON types of the config-file values used as read (null is also taken
+# where the default is None); "t" and "format" pass through str() and ==.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("D", "E", "T", "seed", "z_min", "z_max"), int),
+    **dict.fromkeys(("target", "out", "target_config"), str),
+}
 
 
 def _merge_config(args) -> dict:
@@ -127,13 +141,19 @@ def _merge_config(args) -> dict:
         unknown = set(file_cfg) - set(cfg) - {"target_config"}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            typ = _CONFIG_TYPES.get(key)
+            if typ is None or (val is None and cfg.get(key) is None):
+                continue
+            if not isinstance(val, typ) or isinstance(val, bool):
+                raise ConfigurationError(
+                    f"config key {key!r} must be of type {typ.__name__}, got {val!r}"
+                )
         cfg.update(file_cfg)
-    for key in ("target", "D", "E", "T", "z_min", "z_max", "seed", "t", "format", "out"):
+    for key in [*cfg, "target_config"]:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if getattr(args, "target_config", None):
-        cfg["target_config"] = args.target_config
     return cfg
 
 
@@ -189,13 +209,11 @@ def _resolve_truncation(cfg, target) -> Truncation:
 # suites
 
 
+@_timed
 def _engine_oracle_report(seed: int) -> CheckReport:
-    started = time.perf_counter()
     failures = []
     point = make_target("point")
     engine = get_engine(point)
-    from itertools import combinations_with_replacement
-
     for n in range(3, 9):
         for ks in combinations_with_replacement(range(n - 2), n):
             if sum(ks) != n - 3:
@@ -209,9 +227,7 @@ def _engine_oracle_report(seed: int) -> CheckReport:
         got = p2.correlator((d,), [(2, 0)] * (3 * d - 1))
         if got != oracles.rational_plane_curves(d) or got != expected:
             failures.append({"plane_degree": d, "got": str(got)})
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     checked = 0
     attempts = 0
     while checked < 100 and attempts < 20000:
@@ -225,9 +241,7 @@ def _engine_oracle_report(seed: int) -> CheckReport:
         ins.append((1, 0))  # guarantee the divisor rule applies
         if not any(k > 0 for _, k in ins):
             continue
-        from .correlators import vdim as _vdim
-
-        shortfall = _vdim(target, (d,), n) - sum(target.degree(a) + k for a, k in ins)
+        shortfall = vdim(target, (d,), n) - sum(target.degree(a) + k for a, k in ins)
         if shortfall > 0:
             a0, k0 = ins[0]
             ins[0] = (a0, k0 + shortfall)
@@ -238,15 +252,13 @@ def _engine_oracle_report(seed: int) -> CheckReport:
         if via_divisor != via_recursion:
             failures.append({"path_independence": [name, d, sorted(ins)]})
         checked += 1
-    report = CheckReport(
+    return CheckReport(
         name="engine-oracles",
         passed=not failures,
         params={"path_independence_keys": checked},
         failures=failures,
         seed=seed,
     )
-    report.elapsed = time.perf_counter() - started
-    return report
 
 
 def _localisation_report(t, trunc, engine, seed):
@@ -305,14 +317,19 @@ def _emit(payload: dict, cfg, fmt_human_lines) -> None:
         else "\n".join(fmt_human_lines)
     )
     if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg['out']}: {exc}") from exc
     print(text)
 
 
 def _cmd_verify(args) -> int:
     cfg = _merge_config(args)
     suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
+    if "universal" in suites and args.k_max < 2:
+        raise UsageError(f"--k-max is {args.k_max}; the universal relations start at k = 2")
     target = _resolve_target(cfg)
     trunc = _resolve_truncation(cfg, target)
     t = _resolve_t(cfg, target)
@@ -344,6 +361,11 @@ def _cmd_series(args) -> int:
     trunc = _resolve_truncation(cfg, target)
     t = _resolve_t(cfg, target)
     engine = get_engine(target)
+    if args.which == "tangent" and not (0 <= args.alpha < target.rank and args.k >= 0):
+        raise UsageError(
+            f"tangent on {target.name} needs 0 <= --alpha < {target.rank} and --k >= 0, "
+            f"got --alpha {args.alpha} --k {args.k}"
+        )
     if args.which == "cone":
         series = cone_point(t, trunc, engine)
     elif args.which == "SL":
@@ -354,12 +376,7 @@ def _cmd_series(args) -> int:
         series = tangent_vector(t, args.alpha, args.k, trunc, engine)
     payload = {
         "target": target.name,
-        "truncation": {
-            "D": trunc.novikov_order,
-            "E": trunc.epsilon_order,
-            "z_min": trunc.z_min,
-            "z_max": trunc.z_max,
-        },
+        "truncation": _trunc_params(trunc),
         "which": args.which,
         "series": series.to_records(),
     }

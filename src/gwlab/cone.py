@@ -74,13 +74,14 @@ class TPolynomial:
 
 
 def dilaton_shift(t: TPolynomial, trunc: Truncation) -> LoopSeries:
-    """q(z) = t(z) - z*1, with the t part at eps order 1 and the shift at 0."""
-    target = t.target
-    b0 = beta_zero(target.class_rank)
-    terms = {(1, 0, b0, 0): Fraction(-1)}
+    """q(z) = t(z) - z*1, with the t part at eps order 1 (dropped at eps
+    order zero) and the shift at 0."""
+    acc = SeriesAccumulator(t.target, trunc)
+    b0 = beta_zero(t.target.class_rank)
+    acc.add(1, 0, b0, 0, Fraction(-1))
     for k, alpha, c in t.monomials():
-        terms[(k, alpha, b0, 1)] = terms.get((k, alpha, b0, 1), Fraction(0)) + c
-    return LoopSeries(target, trunc, terms)
+        acc.add(k, alpha, b0, 1, c)
+    return acc.series()
 
 
 def dilaton_unshift(q: LoopSeries) -> TPolynomial:

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from gwlab.cli import main, parse_correlator_query
 from gwlab.targets import make_target
 
@@ -236,3 +240,99 @@ def test_bad_target_config_is_configuration_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--target-config", str(path), "--suites", "darboux")
     assert code == 3
     assert "configuration error" in err
+
+
+def test_universal_k_max_below_two_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suites", "universal", "--k-max", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --k-max is 1")
+
+
+@pytest.mark.parametrize("flags", [("--alpha", "5"), ("--alpha", "-1"), ("--k", "-1")])
+def test_tangent_index_out_of_range_is_usage_error(capsys, flags):
+    code, out, err = run(capsys, "series", "--which", "tangent", "--target", "P1", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: tangent on P1 needs 0 <= --alpha < 2 and --k >= 0")
+
+
+@pytest.mark.parametrize(
+    "content", [{"D": "x"}, {"z_min": "x"}, {"seed": [1]}, {"out": 1}, {"T": True}, {"E": None}, [1]]
+)
+def test_config_file_value_of_wrong_type_is_configuration_error(capsys, tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "verify", "--config", str(path), "--suites", "darboux")
+    assert code == 3 and out == ""
+    assert err.startswith("configuration error: ")
+
+
+def test_config_file_null_window_is_the_default(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"z_min": None, "out": None, "target": "P1"}))
+    code, out, _ = run(capsys, "verify", "--config", str(path), "--suites", "polynomiality")
+    assert code == 0 and "PASS polynomiality" in out
+
+
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "series", "--which", "cone", "--out", str(missing))
+    assert code == 2
+    assert err.startswith("usage error: cannot write")
+
+
+_SMALL = st.integers(-1, 1).map(str)
+_QUERY_TEXT = st.text(alphabet="d=(),; x0123", max_size=14)
+
+
+@st.composite
+def _structured_query(draw):
+    degree = draw(st.sampled_from(["0", "1", "2", "()", "(1)", "(1,0)"]))
+    slots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
+    return f"d={degree}; " + " ".join(f"({a},{k})" for a, k in slots)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["verify", "series", "correlator"]))
+    target = draw(st.sampled_from(["point", "P1", "P2", "P3"]))
+    if command == "correlator":
+        return [command, "--target", target, draw(st.one_of(_structured_query(), _QUERY_TEXT))]
+    argv = [command, "--target", target]
+    optional = {
+        "--D": _SMALL,
+        "--E": _SMALL,
+        "--T": _SMALL,
+        "--z-min": st.integers(-3, 1).map(str),
+        "--z-max": st.integers(-1, 3).map(str),
+        "--seed": st.integers(0, 20).map(str),
+        "--t": st.sampled_from(["zero", "random", "1/2", "1,0", "0;1/0", "1,2,3", "x"]),
+        "--format": st.sampled_from(["human", "json"]),
+    }
+    if command == "verify":
+        suites = ("darboux", "polynomiality", "inverse", "universal", "lagrangian", "tangent",
+                  "localisation", "bogus")
+        chosen = draw(st.lists(st.sampled_from(suites), min_size=1, max_size=3))
+        argv += ["--suites", ",".join(chosen)]
+        optional["--k-max"] = st.integers(-1, 3).map(str)
+    else:
+        argv += ["--which", draw(st.sampled_from(["cone", "SL", "locsum", "tangent"]))]
+        optional["--alpha"] = st.integers(-1, 3).map(str)
+        optional["--k"] = _SMALL
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv())
+def test_cli_fuzz_exit_codes(capsys, argv):
+    # Small inputs only: every run ends in an exact answer or a named
+    # error with a documented exit code, never an escaping exception.
+    assert main(argv) in {0, 1, 2, 3}
+    capsys.readouterr()

@@ -39,6 +39,13 @@ def test_dilaton_shift_zero_t():
     assert q.terms == {(1, 0, (), 0): Fraction(-1)}
 
 
+def test_dilaton_shift_at_eps_order_zero_keeps_only_the_shift():
+    tr = default_truncation(P1, 1, 0, 1)
+    q = dilaton_shift(TPolynomial.random(P1, 1, seed=3), tr)
+    assert q.terms == {(1, 0, (0,), 0): Fraction(-1)}
+    assert check_polynomiality(TPolynomial.random(P1, 1, seed=3), tr).passed
+
+
 def test_dilaton_coordinates():
     tr = default_truncation(P2, 1, 2, 2)
     t = TPolynomial.random(P2, 2, seed=4)
