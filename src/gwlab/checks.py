@@ -332,38 +332,81 @@ def check_lagrangian(
 # Tangent membership and the empirical span check.
 
 
+def _reduce(vec: dict, pivots: list[tuple]) -> dict:
+    """What is left of vec after walking pivots in order, subtracting at
+    each pivot the multiple that clears its lead key."""
+    rem = {key: val for key, val in vec.items() if val}
+    for lead, piv in pivots:
+        f = rem.get(lead)
+        if not f:
+            continue
+        f /= piv[lead]
+        for key, val in piv.items():
+            x = rem.get(key, 0) - f * val
+            if x:
+                rem[key] = x
+            else:
+                rem.pop(key, None)
+    return rem
+
+
+def _peel(columns: list[dict]) -> list[tuple] | None:
+    """Permuted-triangular order of the columns as (lead, column) pairs,
+    or None if peeling stalls.
+
+    Repeatedly a key held by exactly one remaining column becomes that
+    column's lead and the column is removed.  Each lead then occurs in
+    no later column, so walking the order solves for every coefficient.
+    """
+    holders: dict = {}
+    for i, col in enumerate(columns):
+        for key in col:
+            holders.setdefault(key, set()).add(i)
+    ready = [key for key, held in holders.items() if len(held) == 1]
+    order = []
+    while ready:
+        lead = ready.pop()
+        if not holders[lead]:
+            continue  # its column was peeled through another key
+        i = holders[lead].pop()
+        order.append((lead, columns[i]))
+        for key in columns[i]:
+            held = holders[key]
+            held.discard(i)
+            if len(held) == 1:
+                ready.append(key)
+    return order if len(order) == len(columns) else None
+
+
 def _solve_membership(columns: list[dict], targets: list[dict]) -> tuple[int, list[bool]]:
     """Exact rank of the column span and membership of each target vector.
 
-    Vectors are sparse maps key -> Fraction over an arbitrary index set.
-    Each column is reduced against the pivots kept so far, in order; a
-    nonzero remainder becomes a new pivot, normalised to 1 at its least
-    key.  Every later pivot vanishes at the earlier leading keys, so a
-    vector lies in the span iff it reduces to zero.
+    Vectors are sparse maps key -> Fraction over an arbitrary index set;
+    zero entries and empty columns are dropped first.  The tangent check's
+    columns are S*(-z) phi_rho shifted by z^j Q^beta eps^e, and S*(-z) is
+    the identity plus terms of positive (Q, eps) grade, so each column's
+    lowest-grade term is phi_rho z^j Q^beta eps^e with coefficient 1 and
+    the columns are triangular up to order.  ``_peel`` finds that order:
+    the leads of the lowest-grade columns are private to them, and once
+    those are removed the next grade's leads are.  When every column
+    peels, rank == number of columns and a target lies in the span iff
+    walking the peel order leaves no remainder.
+
+    If peeling stalls (dependent or otherwise non-triangular columns),
+    each column is instead reduced against the pivots kept so far, in
+    order, and a nonzero remainder becomes a new pivot led by its least
+    key; rank is the number of pivots.  Both paths are exact, so rank and
+    flags never depend on which one ran.
     """
-    pivots: list[tuple] = []
-
-    def reduce(vec: dict) -> dict:
-        rem = {key: val for key, val in vec.items() if val}
-        for lead, piv in pivots:
-            f = rem.get(lead)
-            if not f:
-                continue
-            for key, val in piv.items():
-                x = rem.get(key, 0) - f * val
-                if x:
-                    rem[key] = x
-                else:
-                    rem.pop(key, None)
-        return rem
-
-    for col in columns:
-        rem = reduce(col)
-        if rem:
-            lead = min(rem)
-            inv = 1 / rem[lead]
-            pivots.append((lead, {key: val * inv for key, val in rem.items()}))
-    return len(pivots), [not reduce(vec) for vec in targets]
+    columns = [col for col in ({k: v for k, v in c.items() if v} for c in columns) if col]
+    pivots = _peel(columns)
+    if pivots is None:
+        pivots = []
+        for col in columns:
+            rem = _reduce(col, pivots)
+            if rem:
+                pivots.append((min(rem), rem))
+    return len(pivots), [not _reduce(vec, pivots) for vec in targets]
 
 
 @_timed
@@ -385,6 +428,14 @@ def check_cone_in_tangent(
     at truncation, in the span of the k = 0 tangent vectors shifted by
     z^j Q^beta eps^e, every shift cut to the retained grades.  Exact
     ranks are reported.
+
+    S*(-z) is the identity plus terms of positive (Q, eps) grade, so a
+    shifted column's lowest-grade term is phi_rho z^j Q^beta eps^e with
+    coefficient 1.  ``_solve_membership`` peels the columns by these
+    leads, so rank == number of columns whenever peeling succeeds; a
+    broken S* that spoils the leads sends it to the pivot reduction,
+    which reports the true rank and fails the check instead of passing
+    it vacuously.
     """
     engine = engine or get_engine(t.target)
     target = t.target

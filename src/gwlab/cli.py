@@ -189,6 +189,8 @@ def _resolve_t(cfg, target) -> TPolynomial:
 
 
 def _resolve_truncation(cfg, target) -> Truncation:
+    if cfg["T"] < 0:
+        raise ConfigurationError(f"T must be non-negative, got {cfg['T']}")
     auto_min, auto_max = sufficient_window(target, cfg["D"], cfg["E"], cfg["T"])
     z_min = cfg.get("z_min")
     z_max = cfg.get("z_max")

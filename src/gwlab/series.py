@@ -199,14 +199,41 @@ class LoopSeries:
     def __sub__(self, other):
         return self.add(other.scale(-1))
 
-    def substitute_minus_z(self) -> "LoopSeries":
-        """f(z) -> f(-z): sign (-1)^k on the z^k coefficient."""
-        out = {}
-        for (z, alpha, beta, eps), val in self.terms.items():
-            out[(z, alpha, beta, eps)] = val if z % 2 == 0 else -val
-        return LoopSeries(self.target, self.trunc, out)
-
     # -- pairing, residue, polarisation -------------------------------------
+
+    def _pair(
+        self, other: "LoopSeries", z_sum: int | None = None, flip: bool = False
+    ) -> dict[tuple[int, NovikovDegree, int], Fraction]:
+        """Poincare pairing of the terms of self and other, keyed (z, Q, eps).
+
+        The terms of ``other`` are bucketed by z exponent, each carrying
+        its total Novikov degree.  A term of self at z1 meets only the
+        bucket ``z_sum - z1``, or every bucket when ``z_sum`` is None.
+        ``flip`` reads self as f(-z): sign (-1)^z1 on its z^z1 terms.  A
+        pair whose Novikov or eps grade exceeds the truncation is skipped
+        before its degree is formed, as is a zero pairing entry.
+        """
+        self._check_compatible(other)
+        max_n = self.trunc.novikov_order
+        max_e = self.trunc.epsilon_order
+        buckets: dict[int, list] = {}
+        for (z2, a2, b2, e2), v2 in other.terms.items():
+            buckets.setdefault(z2, []).append((a2, b2, beta_total(b2), e2, v2))
+        pairing = self.target.pairing
+        out: dict[tuple[int, NovikovDegree, int], Fraction] = {}
+        for (z1, a1, b1, e1), v1 in self.terms.items():
+            if flip and z1 % 2:
+                v1 = -v1
+            row = pairing[a1]
+            n1 = beta_total(b1)
+            for z2 in buckets if z_sum is None else (z_sum - z1,):
+                for a2, b2, n2, e2, v2 in buckets.get(z2, ()):
+                    p = row[a2]
+                    if not p or n1 + n2 > max_n or e1 + e2 > max_e:
+                        continue
+                    key = (z1 + z2, beta_add(b1, b2), e1 + e2)
+                    out[key] = out.get(key, Fraction(0)) + v1 * v2 * p
+        return {k: v for k, v in out.items() if v}
 
     def pair_extend(self, other: "LoopSeries") -> dict[tuple[int, NovikovDegree, int], Fraction]:
         """Poincare pairing extended bilinearly; a scalar series in (z, Q, eps).
@@ -215,32 +242,20 @@ class LoopSeries:
         result is not re-windowed), while Novikov and eps grades beyond
         the truncation are discarded exactly as in every graded product.
         """
-        self._check_compatible(other)
-        pairing = self.target.pairing
-        out: dict[tuple[int, NovikovDegree, int], Fraction] = {}
-        for (z1, a1, b1, e1), v1 in self.terms.items():
-            row = pairing[a1]
-            for (z2, a2, b2, e2), v2 in other.terms.items():
-                p = row[a2]
-                if not p:
-                    continue
-                beta = beta_add(b1, b2)
-                eps = e1 + e2
-                if not self.trunc.admits_grade(beta, eps):
-                    continue
-                key = (z1 + z2, beta, eps)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2 * p
-        return {k: v for k, v in out.items() if v}
+        return self._pair(other)
 
     def omega(self, other: "LoopSeries") -> ScalarSeries:
-        """Symplectic form: the z^{-1} coefficient of (f(-z), g(z))."""
-        flipped = self.substitute_minus_z()
-        paired = flipped.pair_extend(other)
-        out = {}
-        for (z, beta, eps), val in paired.items():
-            if z == -1:
-                out[(beta, eps)] = val
-        return ScalarSeries(self.trunc, out)
+        """Symplectic form: the z^{-1} coefficient of (f(-z), g(z)).
+
+        Only pairs of terms whose z exponents sum to -1 contribute, so
+        each term of f at z^k meets only the z^{-1-k} bucket of g, with
+        the flip's sign (-1)^k applied in place; no other z-product is
+        formed.
+        """
+        return ScalarSeries(
+            self.trunc,
+            {(beta, eps): val for (_, beta, eps), val in self._pair(other, -1, True).items()},
+        )
 
     def split_plus_minus(self) -> tuple["LoopSeries", "LoopSeries"]:
         """Polarisation: (z-exponents >= 0, z-exponents < 0); sum is f."""

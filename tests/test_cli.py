@@ -266,6 +266,22 @@ def test_config_file_value_of_wrong_type_is_configuration_error(capsys, tmp_path
     assert err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("command", [("verify", "--suites", "polynomiality,tangent"),
+                                     ("series", "--which", "cone")])
+def test_negative_t_degree_flag_is_configuration_error(capsys, command):
+    code, out, err = run(capsys, *command, "--target", "P1", "--T", "-1")
+    assert code == 3 and out == ""
+    assert err.startswith("configuration error: T must be non-negative, got -1")
+
+
+def test_negative_t_degree_in_config_file_is_configuration_error(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"target": "P1", "T": -1}))
+    code, out, err = run(capsys, "verify", "--config", str(path), "--suites", "darboux")
+    assert code == 3 and out == ""
+    assert err.startswith("configuration error: T must be non-negative, got -1")
+
+
 def test_config_file_null_window_is_the_default(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"z_min": None, "out": None, "target": "P1"}))
