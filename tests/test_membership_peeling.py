@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_membership_reference import _reference_solve_membership
 
 from gwlab import TPolynomial, check_cone_in_tangent, default_truncation, get_engine, make_target
 from gwlab import checks
+from test_membership_reference import _reference_solve_membership
 
 
 def _spy_peel(monkeypatch) -> list:
