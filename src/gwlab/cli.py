@@ -289,27 +289,20 @@ def _localisation_report(t, trunc, engine, seed):
 def _run_suites(cfg, suites, k_max, target, trunc, t) -> list[CheckReport]:
     engine = get_engine(target)
     seed = cfg["seed"]
-    reports = []
-    for suite in suites:
-        if suite == "darboux":
-            reports.append(check_darboux(target, k_max=6))
-        elif suite == "engine-oracles":
-            reports.append(_engine_oracle_report(seed))
-        elif suite == "polynomiality":
-            reports.append(check_polynomiality(t, trunc, engine, seed=seed))
-        elif suite == "inverse":
-            reports.append(check_inverse(t, trunc, engine, seed=seed))
-        elif suite == "universal":
-            reports.append(check_universal_relations(t, k_max, trunc, engine, seed=seed))
-        elif suite == "lagrangian":
-            reports.append(check_lagrangian(t, trunc, engine, j_max=1, seed=seed))
-        elif suite == "tangent":
-            reports.append(check_cone_in_tangent(t, trunc, engine, seed=seed))
-        elif suite == "localisation":
-            reports.append(_localisation_report(t, trunc, engine, seed))
-        else:
-            raise UsageError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return reports
+    runners = {
+        "darboux": lambda: check_darboux(target, k_max=6),
+        "engine-oracles": lambda: _engine_oracle_report(seed),
+        "polynomiality": lambda: check_polynomiality(t, trunc, engine, seed=seed),
+        "inverse": lambda: check_inverse(t, trunc, engine, seed=seed),
+        "universal": lambda: check_universal_relations(t, k_max, trunc, engine, seed=seed),
+        "lagrangian": lambda: check_lagrangian(t, trunc, engine, j_max=1, seed=seed),
+        "tangent": lambda: check_cone_in_tangent(t, trunc, engine, seed=seed),
+        "localisation": lambda: _localisation_report(t, trunc, engine, seed),
+    }
+    unknown = next((s for s in suites if s not in runners), None)
+    if unknown is not None:
+        raise UsageError(f"unknown suite {unknown!r}; choose from {SUITES}")
+    return [runners[suite]() for suite in suites]
 
 
 def _emit(payload: dict, cfg, fmt_human_lines) -> None:

@@ -2,27 +2,33 @@
 
 A correlator <gamma_1 psi^{k_1}, ..., gamma_n psi^{k_n}>_{0,n,beta} is
 reduced to seed values by a normal-form system, memoized on canonical
-keys.  In priority order, for a key passing the dimension filter:
+keys.  A key failing the dimension filter is zero; otherwise the first
+rule that applies, in priority order, reduces it:
 
   1. degree zero: product of a classical top intersection with the
      string-equation closed form for the psi factors;
-  2. string equation, when a unit insertion with no psi power is present;
-  3. divisor equation with descendant corrections, when a degree-one
-     insertion with no psi power is present;
-  4. topological recursion, splitting one psi factor against the two
-     lexicographically first companion insertions over a boundary sum;
-  5. primary backend: the single two-point seed in degree one on the
-     line, and the plane-curve recursion on the plane.
+  2. string equation, on a unit insertion with no psi power (n >= 2);
+  3. divisor equation with descendant corrections, on a degree-one
+     insertion with no psi power (n >= 3);
+  4. topological recursion on a psi power (n >= 3), splitting one psi
+     factor against the two lexicographically first companion
+     insertions over a boundary sum;
+  5. primary backend, for n >= 2 insertions without psi powers: the
+     two-point seed in degree one on the line, the plane-curve
+     recursion on the plane;
+  6. divisor inversion, for the one- and two-point keys left over: the
+     divisor equation is solved for the short key, with the extended
+     key expanded by topological recursion in place when it has three
+     insertions, never re-dispatched, which keeps the rewriting
+     well-founded.  Inverting the string equation instead is circular.
 
-Keys with fewer than three insertions (nonzero degree) do not support
-the string or recursion moves directly.  They are grounded by inverting
-the divisor equation against the hyperplane class: the extended
-three-point key is expanded by topological recursion in place, never
-re-dispatched, which keeps the rewriting well-founded.  The pure
-string-equation inversion one might try instead is circular: it
-reproduces the key being computed and determines nothing, which is why
-the divisor route is used.  String and dilaton consistency are enforced
-by tests rather than used as reduction moves.
+``_move`` alone finds which of rules 2-4 applies and the first insertion,
+in key order, that it acts on: for ``_reduce`` and for the forced
+reductions ``reduce_divisor_first`` and ``reduce_recursion_first`` of the
+path-independence check.  These check their key as ``correlator`` does
+and raise ``InvalidKeyError`` for a malformed key or one no insertion of
+which admits the move.  The dilaton equation is checked by tests, never
+used as a move.
 
 The cache behaves as a map from canonical key to value; evaluation is a
 pure function of the key given the cache, so concurrent duplicate
@@ -32,6 +38,7 @@ computation is harmless.  This build is single-threaded.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable
 
@@ -77,6 +84,15 @@ def canonical_key(beta: NovikovDegree, insertions: Iterable) -> Key:
     return (tuple(beta), ins)
 
 
+# The insertion each reduction move acts on, by the name of the engine
+# method that applies it; the order is the dispatch priority.
+_ACTS_ON = {
+    "_string": lambda t, a, k: a == 0 and k == 0,
+    "_divisor": lambda t, a, k: k == 0 and t.degree(a) == 1,
+    "_recursion": lambda t, a, k: k > 0,
+}
+
+
 class CorrelatorEngine:
     """Memoized evaluator for one target space."""
 
@@ -107,17 +123,18 @@ class CorrelatorEngine:
         return self._eval(beta, ins)
 
     def _check_key(self, beta: NovikovDegree, ins: tuple) -> None:
-        """Runs on cache misses only; a cached key was checked when it was
-        first asked for or is a well-formed key the reduction produced."""
+        """Checks a key from outside the engine; keys the reduction
+        produces are well formed and are not checked again."""
         t = self.target
         # The empty degree reads as degree zero on every target.
-        if (beta and len(beta) != t.class_rank) or any(d < 0 for d in beta):
+        if (beta and len(beta) != t.class_rank) or min(beta, default=0) < 0:
             raise InvalidKeyError(
                 f"degree {beta} is not a non-negative class of rank {t.class_rank} on {t.name}"
             )
+        rank = t.rank
         for a, _ in ins:
-            if not 0 <= a < t.rank:
-                raise InvalidKeyError(f"basis index {a} out of range for {t.name} (rank {t.rank})")
+            if not 0 <= a < rank:
+                raise InvalidKeyError(f"basis index {a} out of range for {t.name} (rank {rank})")
 
     def correlator_with_kernel(
         self,
@@ -134,7 +151,8 @@ class CorrelatorEngine:
         The dimension filter selects at most one surviving psi depth l,
         so the returned map is finite (at most one key).
         """
-        fixed = tuple(sorted((int(a), int(k)) for a, k in fixed))
+        beta, fixed = canonical_key(beta, fixed)
+        self._check_key(beta, fixed + ((kernel_alpha, 0),))
         m = len(fixed) + 1
         if not is_stable(beta, m):
             raise StabilityError(
@@ -144,7 +162,7 @@ class CorrelatorEngine:
         l = vdim(self.target, beta, m) - used - self.target.degree(kernel_alpha)
         if l < 0:
             return {}
-        val = self._eval(*canonical_key(beta, fixed + ((kernel_alpha, l),)))
+        val = self._eval(beta, tuple(sorted(fixed + ((kernel_alpha, l),))))
         if not val:
             return {}
         if sign < 0 and l % 2 == 0:
@@ -185,6 +203,23 @@ class CorrelatorEngine:
         return block
 
     # ------------------------------------------------------------------
+    # forced single-step reductions, exposed for the path-independence check
+
+    def reduce_divisor_first(self, beta: NovikovDegree, insertions: Iterable) -> Fraction:
+        return self._forced("_divisor", beta, insertions)
+
+    def reduce_recursion_first(self, beta: NovikovDegree, insertions: Iterable) -> Fraction:
+        return self._forced("_recursion", beta, insertions)
+
+    def _forced(self, move: str, beta: NovikovDegree, insertions: Iterable) -> Fraction:
+        beta, ins = canonical_key(beta, insertions)
+        self._check_key(beta, ins)
+        rule, pos = self._move(ins, (move,))
+        if rule is None:
+            raise InvalidKeyError(f"no insertion of {ins} admits the {move[1:]} move")
+        return rule(beta, ins, pos) if self._fits(beta, ins) else Fraction(0)
+
+    # ------------------------------------------------------------------
     # reduction system
 
     def _eval(self, beta: NovikovDegree, ins: tuple) -> Fraction:
@@ -203,24 +238,34 @@ class CorrelatorEngine:
         return value
 
     def _reduce(self, beta: NovikovDegree, ins: tuple) -> Fraction:
-        t = self.target
-        n = len(ins)
-        if sum(t.degree(a) + k for a, k in ins) != vdim(t, beta, n):
+        if not self._fits(beta, ins):
             return Fraction(0)
         if not any(beta):
             return self._degree_zero(ins)
-        if n >= 3:
-            for pos, (a, k) in enumerate(ins):
-                if a == 0 and k == 0:
-                    return self._string(beta, ins, pos)
-            for pos, (a, k) in enumerate(ins):
-                if t.degree(a) == 1 and k == 0:
-                    return self._divisor(beta, ins, pos)
-            for pos, (_, k) in enumerate(ins):
-                if k > 0:
-                    return self._recursion(beta, ins, pos)
+        n = len(ins)
+        rule, pos = self._move(ins, _ACTS_ON if n >= 3 else ("_string",) if n == 2 else ())
+        if rule is not None:
+            return rule(beta, ins, pos)
+        if n >= 2 and not any(k for _, k in ins):
             return self._primary(beta, ins)
-        return self._few_points(beta, ins)
+        return self._divisor_inversion(beta, ins)
+
+    def _fits(self, beta: NovikovDegree, ins: tuple) -> bool:
+        """The dimension filter: degrees plus psi powers fill the virtual
+        dimension exactly."""
+        t = self.target
+        return sum(t.degree(a) + k for a, k in ins) == vdim(t, beta, len(ins))
+
+    def _move(self, ins: tuple, moves: Iterable[str]):
+        """The first of ``moves`` that some insertion admits, as the bound
+        rule and the position of the first such insertion, or two Nones."""
+        t = self.target
+        for move in moves:
+            acts_on = _ACTS_ON[move]
+            for pos, (a, k) in enumerate(ins):
+                if acts_on(t, a, k):
+                    return getattr(self, move), pos
+        return None, None
 
     def _degree_zero(self, ins: tuple) -> Fraction:
         """Degree zero: the moduli splits off the target, so the value is a
@@ -252,21 +297,23 @@ class CorrelatorEngine:
         return total
 
     def _divisor(self, beta: NovikovDegree, ins: tuple, pos: int) -> Fraction:
-        """Divisor equation with descendant corrections:
-
-        <D, x_1, ..., x_n> = (D.beta) <x_1, ..., x_n>
-                             + sum_{j: k_j >= 1} <..., (D cup gamma_j) psi^{k_j - 1}, ...>.
-        """
-        t = self.target
+        """<D, x_1, ..., x_n> = (D.beta) <x_1, ..., x_n> + corrections."""
         d_alpha = ins[pos][0]
         rest = ins[:pos] + ins[pos + 1:]
-        total = Fraction(t.divisor_pairing(d_alpha, beta)) * self._eval(beta, tuple(sorted(rest)))
-        for j, (a, k) in enumerate(rest):
+        pairing = Fraction(self.target.divisor_pairing(d_alpha, beta))
+        return pairing * self._eval(beta, rest) + self._corrections(beta, d_alpha, rest)
+
+    def _corrections(self, beta: NovikovDegree, div: int, ins: tuple) -> Fraction:
+        """Descendant corrections of the divisor equation for the class div:
+
+        sum_{j: k_j >= 1} <..., (div cup gamma_j) psi^{k_j - 1}, ...>.
+        """
+        total = Fraction(0)
+        for j, (a, k) in enumerate(ins):
             if k >= 1:
-                cupped = t.cup_basis(d_alpha, a)
-                for nu, c in enumerate(cupped):
+                for nu, c in enumerate(self.target.cup_basis(div, a)):
                     if c:
-                        total += c * self._eval(beta, _sorted_replace(rest, j, (nu, k - 1)))
+                        total += c * self._eval(beta, _sorted_replace(ins, j, (nu, k - 1)))
         return total
 
     def _recursion(self, beta: NovikovDegree, ins: tuple, carrier_pos: int) -> Fraction:
@@ -321,39 +368,17 @@ class CorrelatorEngine:
 
     def _plane_count(self, d: int) -> Fraction:
         """Degree-d rational plane curves through 3d-1 general points, via the
-        recursion induced by associativity of the quantum product."""
-        val = self._plane_counts.get(d)
-        if val is None:
-            if d == 1:
-                val = Fraction(1)
-            else:
-                val = Fraction(0)
-                for d1 in range(1, d):
-                    d2 = d - d1
-                    val += (
-                        self._plane_count(d1)
-                        * self._plane_count(d2)
-                        * d1 ** 2
-                        * d2
-                        * (d2 * comb(3 * d - 4, 3 * d1 - 2) - d1 * comb(3 * d - 4, 3 * d1 - 1))
-                    )
-            self._plane_counts[d] = val
-        return val
-
-    def _few_points(self, beta: NovikovDegree, ins: tuple) -> Fraction:
-        """Ground one- and two-point keys of nonzero degree."""
-        n = len(ins)
-        if n == 2:
-            for pos, (a, k) in enumerate(ins):
-                if a == 0 and k == 0:
-                    # String equation down to one point.
-                    (b, kb) = ins[1 - pos]
-                    if kb == 0:
-                        return Fraction(0)
-                    return self._eval(beta, ((b, kb - 1),))
-            if all(k == 0 for _, k in ins):
-                return self._primary(beta, ins)
-        return self._divisor_inversion(beta, ins)
+        recursion induced by associativity of the quantum product, filled
+        in bottom up so that no degree recurses."""
+        counts = self._plane_counts
+        counts.setdefault(1, Fraction(1))
+        for e in range(len(counts) + 1, d + 1):
+            counts[e] = sum(
+                counts[d1] * counts[e - d1] * d1 ** 2 * (e - d1)
+                * ((e - d1) * comb(3 * e - 4, 3 * d1 - 2) - d1 * comb(3 * e - 4, 3 * d1 - 1))
+                for d1 in range(1, e)
+            )
+        return counts[d]
 
     def _divisor_inversion(self, beta: NovikovDegree, ins: tuple) -> Fraction:
         """Solve the divisor equation for the short correlator:
@@ -374,53 +399,26 @@ class CorrelatorEngine:
             )
         ext = tuple(sorted(ins + ((div, 0),)))
         if len(ext) >= 3:
-            carrier = next(i for i, (_, k) in enumerate(ext) if k > 0)
-            extended = self._recursion(beta, ext, carrier)
+            rule, pos = self._move(ext, ("_recursion",))
+            extended = rule(beta, ext, pos)
         else:
             extended = self._eval(beta, ext)
-        total = extended
-        for j, (a, k) in enumerate(ins):
-            if k >= 1:
-                cupped = t.cup_basis(div, a)
-                for nu, c in enumerate(cupped):
-                    if c:
-                        total -= c * self._eval(beta, _sorted_replace(ins, j, (nu, k - 1)))
-        return total / t.divisor_pairing(div, beta)
-
-    # ------------------------------------------------------------------
-    # forced single-step reductions, exposed for the path-independence check
-
-    def reduce_divisor_first(self, beta: NovikovDegree, insertions: Iterable) -> Fraction:
-        beta, ins = canonical_key(beta, insertions)
-        pos = next(
-            i for i, (a, k) in enumerate(ins) if self.target.degree(a) == 1 and k == 0
-        )
-        if sum(self.target.degree(a) + k for a, k in ins) != vdim(self.target, beta, len(ins)):
-            return Fraction(0)
-        return self._divisor(beta, ins, pos)
-
-    def reduce_recursion_first(self, beta: NovikovDegree, insertions: Iterable) -> Fraction:
-        beta, ins = canonical_key(beta, insertions)
-        pos = next(i for i, (_, k) in enumerate(ins) if k > 0)
-        if sum(self.target.degree(a) + k for a, k in ins) != vdim(self.target, beta, len(ins)):
-            return Fraction(0)
-        return self._recursion(beta, ins, pos)
+        return (extended - self._corrections(beta, div, ins)) / t.divisor_pairing(div, beta)
 
 
 def _sorted_replace(ins: tuple, j: int, new: tuple) -> tuple:
     return tuple(sorted(ins[:j] + (new,) + ins[j + 1:]))
 
 
-_ENGINES: dict[str, CorrelatorEngine] = {}
+_ENGINE_CACHE_SIZE = 8
 
 
+@lru_cache(maxsize=_ENGINE_CACHE_SIZE)
 def get_engine(target: TargetSpace) -> CorrelatorEngine:
-    """Shared per-target engine; built-ins keyed by name."""
-    engine = _ENGINES.get(target.name)
-    if engine is None or engine.target != target:
-        engine = CorrelatorEngine(target)
-        _ENGINES[target.name] = engine
-    return engine
+    """Shared engine per target value, so a custom presentation never
+    displaces a built-in of the same name; the least recently used of
+    more than ``_ENGINE_CACHE_SIZE`` engines is dropped."""
+    return CorrelatorEngine(target)
 
 
 def correlator(target: TargetSpace, beta: NovikovDegree, insertions: Iterable) -> Fraction:

@@ -80,6 +80,20 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in err
 
 
+def test_unknown_suite_is_rejected_before_any_suite_runs(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("polynomiality ran before the unknown suite was rejected")
+
+    monkeypatch.setattr("gwlab.cli.check_polynomiality", must_not_run)
+    code, out, err = run(capsys, "verify", "--suites", "polynomiality,bogus")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "usage error: unknown suite 'bogus'; choose from ('darboux', 'engine-oracles', "
+        "'polynomiality', 'inverse', 'universal', 'lagrangian', 'tangent', 'localisation')\n"
+    )
+
+
 def test_window_too_small_is_configuration_error(capsys):
     code, _, err = run(
         capsys,

@@ -3,12 +3,19 @@ string-equation evaluator, the plane-curve recursion and the one-point
 hypergeometric expansions are all written independently of the
 reduction system they validate."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gwlab import correlators
 from gwlab import (
     CapabilityError,
     CorrelatorEngine,
@@ -309,3 +316,113 @@ def test_custom_target_has_no_backend():
     eng = get_engine(custom)
     with pytest.raises(CapabilityError):
         eng.correlator((1,), [(1, 0), (1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# named errors at every engine entry point
+
+
+@pytest.mark.parametrize(
+    "name,method,args",
+    [
+        ("P1", "reduce_divisor_first", ((1,), [(0, 1), (0, 0), (0, 0)])),  # no divisor slot
+        ("P1", "reduce_recursion_first", ((1,), [(1, 0), (1, 0), (0, 0)])),  # no psi power
+        ("point", "reduce_divisor_first", ((), [(0, 1), (0, 0), (0, 0), (0, 0)])),
+        ("P2", "reduce_divisor_first", ((1,), [(9, 0), (1, 0), (2, 1)])),  # basis index 9
+        ("P2", "reduce_recursion_first", ((1,), [(9, 0), (1, 0), (2, 1)])),
+        ("P2", "reduce_divisor_first", ((-1,), [(1, 0), (2, 0), (2, 1)])),  # negative degree
+        ("P2", "reduce_recursion_first", ((-1,), [(1, 0), (2, 0), (2, 1)])),
+        ("P1", "correlator_with_kernel", ((1,), [(7, 0)], 0, 1)),
+        ("P1", "correlator_with_kernel", ((1,), [(1, 0)], -1, 1)),
+        ("P2", "correlator_with_kernel", ((1, 0), [(2, 0)], 1, -1)),
+    ],
+)
+def test_malformed_or_inadmissible_key_is_invalid_key_error(name, method, args):
+    eng = CorrelatorEngine(make_target(name))
+    with pytest.raises(InvalidKeyError):
+        getattr(eng, method)(*args)
+
+
+def test_forced_reductions_still_reduce_well_formed_keys():
+    eng = CorrelatorEngine(P1)
+    ins = [(1, 0), (1, 1), (0, 2)]
+    assert eng.reduce_divisor_first((1,), ins) == eng.reduce_recursion_first((1,), ins)
+    assert eng.reduce_divisor_first((1,), ins) == eng.correlator((1,), ins)
+    assert eng.reduce_divisor_first((5,), ins) == 0  # fails the dimension filter
+
+
+_FUZZ_ENGINES = {name: CorrelatorEngine(make_target(name)) for name in ("point", "P1", "P2")}
+_ENTRY_POINTS = ("correlator", "correlator_with_kernel", "reduce_divisor_first", "reduce_recursion_first")
+
+
+@st.composite
+def _entry_calls(draw):
+    engine = _FUZZ_ENGINES[draw(st.sampled_from(sorted(_FUZZ_ENGINES)))]
+    t = engine.target
+    width = draw(st.sampled_from((0, t.class_rank, t.class_rank + 1)))  # empty, right, wrong rank
+    beta = tuple(draw(st.lists(st.integers(-1, 3), min_size=width, max_size=width)))
+    slot = st.tuples(st.integers(-1, t.rank), st.integers(0, 4))
+    ins = draw(st.lists(slot, max_size=6))
+    method = draw(st.sampled_from(_ENTRY_POINTS))
+    if method == "correlator_with_kernel":
+        return engine, method, (beta, ins, draw(st.integers(-1, t.rank)), draw(st.sampled_from((1, -1))))
+    return engine, method, (beta, ins)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_entry_calls())
+def test_engine_entry_points_return_or_raise_value_error(call):
+    """Every entry point ends in an exact value or a named ValueError."""
+    engine, method, args = call
+    try:
+        got = getattr(engine, method)(*args)
+    except ValueError:
+        return
+    if method == "correlator_with_kernel":
+        assert all(isinstance(v, Fraction) for v in got.values())
+    else:
+        assert isinstance(got, Fraction)
+
+
+# ---------------------------------------------------------------------------
+# engine sharing and deep plane counts
+
+
+def test_custom_target_named_like_a_builtin_keeps_the_builtin_engine():
+    builtin = get_engine(P2)
+    impostor = load_target(
+        {
+            "name": "P2",
+            "dim": 1,
+            "basis_degrees": [0, 1],
+            "pairing": [[0, 1], [1, 0]],
+            "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+            "class_rank": 1,
+            "c1_vector": [2],
+            "divisor_rows": [[1, [1]]],
+        }
+    )
+    assert get_engine(impostor) is not builtin
+    assert get_engine(P2) is builtin
+    assert get_engine(make_target("P2")) is builtin
+
+
+def test_engine_cache_is_bounded():
+    assert get_engine.cache_info().maxsize == correlators._ENGINE_CACHE_SIZE
+    assert 3 <= correlators._ENGINE_CACHE_SIZE < 100
+
+
+def test_plane_count_does_not_recurse_on_the_degree():
+    """N_150 under a recursion limit below 150: the counts fill bottom up."""
+    code = (
+        "import sys\n"
+        "from gwlab import correlator, make_target\n"
+        "sys.setrecursionlimit(120)\n"
+        "print(correlator(make_target('P2'), (150,), [(2, 0)] * 449))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert Fraction(done.stdout.strip()) == rational_plane_curves(150)
