@@ -2,9 +2,13 @@
 polynomiality, the inverse identity, universal relations, the residue
 vanishing and tangent-space membership.
 
-Every check is an exact statement about rational coefficients; a report
-either passes or carries the complete list of offending grades.  Seeds
-are recorded so failures reproduce.
+Every check is an exact statement about rational coefficients, and its
+report lists the complete set of offending grades.  A report passes
+exactly when that list is empty: ``CheckReport.passed`` is derived from
+the failures, never set apart from them.  An offending coefficient is
+written by ``series.coefficient_record``, the record format that
+``gwlab series`` dumps use too.  Seeds are recorded so failures
+reproduce.
 """
 
 from __future__ import annotations
@@ -23,32 +27,35 @@ from .cone import (
 )
 from .correlators import CorrelatorEngine, get_engine
 from .matrices import compose, s_adjoint_matrix, s_matrix
-from .series import LoopSeries, ScalarSeries, Truncation
+from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record
 from .targets import TargetSpace, beta_add, beta_zero, iter_betas
 
 
 @dataclass
 class CheckReport:
+    """The outcome of one suite; it passes exactly when it lists no failure."""
+
     name: str
-    passed: bool
     params: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     seed: int | None = None
     notes: str = ""
     elapsed: float = 0.0
 
-    def as_dict(self, with_timing: bool = True) -> dict:
-        out = {
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def as_dict(self) -> dict:
+        return {
             "check": self.name,
             "passed": self.passed,
             "params": self.params,
             "failures": self.failures,
             "seed": self.seed,
             "notes": self.notes,
+            "elapsed_s": round(self.elapsed, 6),
         }
-        if with_timing:
-            out["elapsed_s"] = round(self.elapsed, 6)
-        return out
 
 
 def _timed(fn):
@@ -60,10 +67,6 @@ def _timed(fn):
     return wrapper
 
 
-def _fraction_record(val: Fraction) -> dict:
-    return {"num": val.numerator, "den": val.denominator}
-
-
 def _trunc_params(trunc: Truncation) -> dict:
     return {
         "D": trunc.novikov_order,
@@ -71,6 +74,15 @@ def _trunc_params(trunc: Truncation) -> dict:
         "z_min": trunc.z_min,
         "z_max": trunc.z_max,
     }
+
+
+def _report(
+    name: str, t: TPolynomial, trunc: Truncation, failures: list, seed, notes: str = "", **params
+) -> CheckReport:
+    """The report of a suite run on t at trunc; ``params`` (such as
+    ``k_max``) join the target, the truncation and the degree of t."""
+    params = {"target": t.target.name, **params, **_trunc_params(trunc), "T": t.degree}
+    return CheckReport(name=name, params=params, failures=failures, seed=seed, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +117,13 @@ def check_darboux(target: TargetSpace, k_max: int = 6) -> CheckReport:
             got = av.omega(bv).coefficient(beta_zero(target.class_rank), 0)
             want = Fraction(-1) if (a == g and k == l) else Fraction(0)
             if got != want:
-                failures.append({"pair": ["A", a, k, "B", g, l], "got": _fraction_record(got)})
+                failures.append({"pair": ["A", a, k, "B", g, l], "got": fraction_record(got)})
     for (g, l), bv in bvs.items():
         for (g2, l2), bv2 in bvs.items():
             if not bv.omega(bv2).is_zero():
                 failures.append({"pair": ["B", g, l, "B", g2, l2]})
     return CheckReport(
         name="darboux",
-        passed=not failures,
         params={"target": target.name, "k_max": k_max},
         failures=failures,
     )
@@ -133,24 +144,12 @@ def check_polynomiality(
     every coefficient of z^{<=0} must vanish exactly."""
     engine = engine or get_engine(t.target)
     value = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
-    ok, offenders = value.is_z_polynomial(strict=True)
+    _, offenders = value.is_z_polynomial(strict=True)
     failures = [
-        {
-            "z_exp": z,
-            "basis": a,
-            "novikov": list(b),
-            "eps": e,
-            **_fraction_record(value.coefficient(z, a, b, e)),
-        }
+        coefficient_record(b, e, value.coefficient(z, a, b, e), z_exp=z, basis=a)
         for (z, a, b, e) in offenders
     ]
-    return CheckReport(
-        name="polynomiality",
-        passed=ok,
-        params={"target": t.target.name, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
-    )
+    return _report("polynomiality", t, trunc, failures, seed)
 
 
 @_timed
@@ -166,25 +165,12 @@ def check_inverse(
     s = s_matrix(t, trunc, engine)
     s_adj = s_adjoint_matrix(t, trunc, engine)
     product = compose(s, s_adj, flip_second=True, trunc=trunc)
-    ok, offenders = product.is_identity()
+    _, offenders = product.is_identity()
     failures = [
-        {
-            "z_exp": z,
-            "row": r,
-            "col": c,
-            "novikov": list(b),
-            "eps": e,
-            **_fraction_record(product.coefficient(z, r, c, b, e)),
-        }
+        coefficient_record(b, e, product.coefficient(z, r, c, b, e), z_exp=z, row=r, col=c)
         for (z, r, c, b, e) in offenders
     ]
-    return CheckReport(
-        name="inverse",
-        passed=ok,
-        params={"target": t.target.name, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
-    )
+    return _report("inverse", t, trunc, failures, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +241,8 @@ def check_universal_relations(
     failures = []
     for k in range(2, k_max + 1):
         for alpha in range(t.target.rank):
-            rel = universal_relation(t, k, alpha, trunc, engine)
-            for (beta, eps), val in sorted(rel.terms.items()):
-                failures.append(
-                    {
-                        "k": k,
-                        "alpha": alpha,
-                        "novikov": list(beta),
-                        "eps": eps,
-                        **_fraction_record(val),
-                    }
-                )
-    return CheckReport(
-        name="universal",
-        passed=not failures,
-        params={"target": t.target.name, "k_max": k_max, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
-    )
+            failures += universal_relation(t, k, alpha, trunc, engine).to_records(k=k, alpha=alpha)
+    return _report("universal", t, trunc, failures, seed, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +278,8 @@ def check_lagrangian(
     }
     for key_r, left in images.items():
         for key_u, right in images.items():
-            residue = left.omega(right)
-            for (beta, eps), val in sorted(residue.terms.items()):
-                failures.append(
-                    {
-                        "r": list(key_r),
-                        "u": list(key_u),
-                        "novikov": list(beta),
-                        "eps": eps,
-                        **_fraction_record(val),
-                    }
-                )
-    return CheckReport(
-        name="lagrangian",
-        passed=not failures,
-        params={"target": target.name, "j_max": j_max, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
-    )
+            failures += left.omega(right).to_records(r=list(key_r), u=list(key_u))
+    return _report("lagrangian", t, trunc, failures, seed, j_max=j_max)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +395,7 @@ def check_cone_in_tangent(
     target = t.target
     f = cone_point(t, trunc, engine)
     sf = s_apply(t, f, trunc, engine)
-    poly_ok, offenders = sf.is_z_polynomial(strict=True)
+    _, offenders = sf.is_z_polynomial(strict=True)
     failures = [
         {"part": "operator", "key": [z, a, list(b), e]} for (z, a, b, e) in offenders
     ]
@@ -468,12 +422,8 @@ def check_cone_in_tangent(
     for label, ok in zip(labels, in_span):
         if not ok:
             failures.append({"part": "span", "tangent": list(label)})
-    return CheckReport(
-        name="tangent",
-        passed=poly_ok and all(in_span),
-        params={"target": target.name, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
+    return _report(
+        "tangent", t, trunc, failures, seed,
         notes=f"span rank {rank} over {len(columns)} spanning vectors; "
         f"membership is an empirical truncated statement",
     )

@@ -256,7 +256,6 @@ def _engine_oracle_report(seed: int) -> CheckReport:
         checked += 1
     return CheckReport(
         name="engine-oracles",
-        passed=not failures,
         params={"path_independence_keys": checked},
         failures=failures,
         seed=seed,
@@ -272,16 +271,13 @@ def _localisation_report(t, trunc, engine, seed):
             subsets = oracles.brute_force_splittings(target, beta, n)
             shapes = [(r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf) for r in records]
             if sorted(shapes) != sorted(subsets):
-                report.passed = False
                 report.failures.append({"enumeration": [list(beta), n]})
             if len(set(records)) != len(records):
-                report.passed = False
                 report.failures.append({"duplicate_records": [list(beta), n]})
             # count / n! must be the record weight 1 / (n0! n_inf!)
             if any(
                 subsets.get(s, 0) * factorial(s[3]) * factorial(s[4]) != factorial(n) for s in shapes
             ):
-                report.passed = False
                 report.failures.append({"weights": [list(beta), n]})
     return report
 
@@ -332,7 +328,7 @@ def _cmd_verify(args) -> int:
     passed = all(r.passed for r in reports)
     payload = {
         "config": {
-            **{k: (str(v) if isinstance(v, Fraction) else v) for k, v in cfg.items()},
+            **cfg,
             "window": [trunc.z_min, trunc.z_max],
             "t_coefficients": [[str(c) for c in vec] for vec in t.coeffs],
         },

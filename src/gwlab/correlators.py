@@ -47,6 +47,7 @@ from .targets import (
     NovikovDegree,
     TargetSpace,
     beta_splits,
+    make_target,
 )
 
 
@@ -59,8 +60,9 @@ class CapabilityError(ValueError):
 
 
 class InvalidKeyError(ValueError):
-    """A key names a basis index the target lacks, or a degree that is not
-    a non-negative class of the target's rank (or the empty degree)."""
+    """A key names a basis index the target lacks, a negative psi power,
+    or a degree that is not a non-negative class of the target's rank (or
+    the empty degree)."""
 
 
 Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
@@ -80,7 +82,7 @@ def canonical_key(beta: NovikovDegree, insertions: Iterable) -> Key:
     symmetric in their arguments, so permuted inputs share one key."""
     ins = tuple(sorted((int(a), int(k)) for a, k in insertions))
     if any(k < 0 for _, k in ins):
-        raise ValueError("psi powers must be non-negative")
+        raise InvalidKeyError("psi powers must be non-negative")
     return (tuple(beta), ins)
 
 
@@ -355,12 +357,15 @@ class CorrelatorEngine:
         return total
 
     def _primary(self, beta: NovikovDegree, ins: tuple) -> Fraction:
+        """Seed values of the built-in line and plane.  A target gets them
+        by equalling the built-in presentation, name included, so a custom
+        presentation that only borrows the name gets none."""
         t = self.target
-        if t.name == "P1":
+        if t == make_target("P1"):
             if beta == (1,) and ins == ((1, 0), (1, 0)):
                 return Fraction(1)  # one line matching two point constraints
             raise CapabilityError(f"no P1 primary value for beta={beta}, insertions={ins}")
-        if t.name == "P2":
+        if t == make_target("P2"):
             if all(a == 2 and k == 0 for a, k in ins):
                 return self._plane_count(beta[0])
             raise CapabilityError(f"no P2 primary value for insertions={ins}")

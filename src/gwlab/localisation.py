@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport, _fraction_record, _timed, _trunc_params
+from .checks import CheckReport, _report, _timed
 from .cone import TPolynomial, _kernel_sum, cone_point, s_apply
 from .correlators import CorrelatorEngine, get_engine
-from .series import LoopSeries, SeriesAccumulator, Truncation
+from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
 from .targets import (
     NovikovDegree,
     TargetSpace,
@@ -187,19 +187,9 @@ def check_main_identity(
         if lv != rv:
             z, a, b, e = key
             failures.append(
-                {
-                    "z_exp": z,
-                    "basis": a,
-                    "novikov": list(b),
-                    "eps": e,
-                    "fixed_locus_sum": _fraction_record(lv),
-                    "cone_transform": _fraction_record(rv),
-                }
+                coefficient_record(
+                    b, e, z_exp=z, basis=a,
+                    fixed_locus_sum=fraction_record(lv), cone_transform=fraction_record(rv),
+                )
             )
-    return CheckReport(
-        name="localisation",
-        passed=not failures,
-        params={"target": t.target.name, **_trunc_params(trunc), "T": t.degree},
-        failures=failures,
-        seed=seed,
-    )
+    return _report("localisation", t, trunc, failures, seed)

@@ -68,6 +68,24 @@ class Truncation:
             raise TruncationOverflowError(z_exp, self.z_min, self.z_max)
 
 
+def fraction_record(val: Fraction) -> dict:
+    return {"num": val.numerator, "den": val.denominator}
+
+
+def coefficient_record(beta: NovikovDegree, eps: int, value: Fraction | None = None, **labels) -> dict:
+    """An exact coefficient at grade (beta, eps) as a JSON-ready record,
+    ``{**labels, "novikov": [...], "eps": eps, "num": n, "den": d}``.
+
+    This is the one record format of series dumps and of the failure
+    lists of the verify suites.  Without a value the record ends at the
+    grade, for labels that carry values of their own.
+    """
+    record = {**labels, "novikov": list(beta), "eps": eps}
+    if value is not None:
+        record.update(fraction_record(value))
+    return record
+
+
 class ScalarSeries:
     """Truncated scalar series in the Novikov and eps gradings."""
 
@@ -121,6 +139,10 @@ class ScalarSeries:
                 if self.trunc.admits_grade(*key):
                     out[key] = out.get(key, Fraction(0)) + v1 * v2
         return ScalarSeries(self.trunc, out)
+
+    def to_records(self, **labels) -> list[dict]:
+        """The terms in grade order, each a ``coefficient_record`` with ``labels``."""
+        return [coefficient_record(b, e, val, **labels) for (b, e), val in sorted(self.terms.items())]
 
 
 class LoopSeries:
@@ -280,20 +302,10 @@ class LoopSeries:
     # -- serialization ------------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        records = []
-        for (z, alpha, beta, eps) in sorted(self.terms):
-            val = self.terms[(z, alpha, beta, eps)]
-            records.append(
-                {
-                    "z_exp": z,
-                    "basis": alpha,
-                    "novikov": list(beta),
-                    "eps": eps,
-                    "num": val.numerator,
-                    "den": val.denominator,
-                }
-            )
-        return records
+        return [
+            coefficient_record(b, e, val, z_exp=z, basis=a)
+            for (z, a, b, e), val in sorted(self.terms.items())
+        ]
 
     @classmethod
     def from_records(cls, target: TargetSpace, trunc: Truncation, records) -> "LoopSeries":

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gwlab import checks
 from gwlab.cli import main, parse_correlator_query
+from gwlab.series import LoopSeries
 from gwlab.targets import make_target
 
 
@@ -92,6 +95,50 @@ def test_unknown_suite_is_rejected_before_any_suite_runs(capsys, monkeypatch):
         "usage error: unknown suite 'bogus'; choose from ('darboux', 'engine-oracles', "
         "'polynomiality', 'inverse', 'universal', 'lagrangian', 'tangent', 'localisation')\n"
     )
+
+
+def test_injected_fault_fails_polynomiality_and_tangent(capsys, monkeypatch):
+    """S(cone point) with spurious terms at z^{<=0}: both suites that read it
+    FAIL, the human report lists their first ten failures and the JSON
+    report all of them, and the run exits 1."""
+    real_s_apply = checks.s_apply
+
+    def s_apply_with_fault(t, f, trunc, engine):
+        b0 = (0,) * t.target.class_rank
+        spurious = {
+            (z, a, b0, e): Fraction(1, 3)
+            for z in range(trunc.z_min, 1)
+            for a in range(t.target.rank)
+            for e in range(trunc.epsilon_order + 1)
+        }
+        return real_s_apply(t, f, trunc, engine) + LoopSeries(t.target, trunc, spurious)
+
+    monkeypatch.setattr(checks, "s_apply", s_apply_with_fault)
+    argv = (
+        "verify", "--target", "P1", "--D", "1", "--E", "1", "--T", "1", "--seed", "3",
+        "--suites", "polynomiality,tangent",
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [(c["check"], c["passed"]) for c in payload["checks"]] == [
+        ("polynomiality", False),
+        ("tangent", False),
+    ]
+    failures = [c["failures"] for c in payload["checks"]]
+    assert all(len(listed) > 10 for listed in failures)
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "FAILURES present"
+    assert lines[0].startswith("FAIL polynomiality (") and lines[11].startswith("FAIL tangent (")
+    for head, listed in zip((0, 11), failures):
+        shown = lines[head + 1:head + 11]
+        assert all(line.startswith("     ") for line in shown)
+        assert [json.loads(line) for line in shown] == listed[:10]
+    assert len(lines) == 23
 
 
 def test_window_too_small_is_configuration_error(capsys):

@@ -318,6 +318,36 @@ def test_custom_target_has_no_backend():
         eng.correlator((1,), [(1, 0), (1, 0)])
 
 
+_LINE_DATA = {
+    "dim": 1,
+    "basis_degrees": [0, 1],
+    "pairing": [[0, 1], [1, 0]],
+    "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "class_rank": 1,
+    "c1_vector": [2],
+    "divisor_rows": [[1, [1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "name,pairing,has_backend",
+    [
+        ("P1", [[0, 2], [2, 0]], False),  # a valid ring that only borrows the name
+        ("P1", [[0, 1], [1, 0]], True),  # the built-in presentation itself
+        ("fake-line", [[0, 1], [1, 0]], False),  # the built-in ring renamed
+    ],
+)
+def test_primary_backend_follows_the_presentation_not_the_name(name, pairing, has_backend):
+    target = load_target({**_LINE_DATA, "name": name, "pairing": pairing})
+    assert (target == P1) is has_backend
+    engine = CorrelatorEngine(target)
+    if has_backend:
+        assert engine.correlator((1,), [(1, 0), (1, 0)]) == 1
+    else:
+        with pytest.raises(CapabilityError):
+            engine.correlator((1,), [(1, 0), (1, 0)])
+
+
 # ---------------------------------------------------------------------------
 # named errors at every engine entry point
 
@@ -335,6 +365,7 @@ def test_custom_target_has_no_backend():
         ("P1", "correlator_with_kernel", ((1,), [(7, 0)], 0, 1)),
         ("P1", "correlator_with_kernel", ((1,), [(1, 0)], -1, 1)),
         ("P2", "correlator_with_kernel", ((1, 0), [(2, 0)], 1, -1)),
+        ("P2", "correlator", ((1,), [(2, -1), (2, 0)])),  # negative psi power
     ],
 )
 def test_malformed_or_inadmissible_key_is_invalid_key_error(name, method, args):
