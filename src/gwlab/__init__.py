@@ -35,6 +35,7 @@ from .correlators import (
     CapabilityError,
     CorrelatorEngine,
     InvalidKeyError,
+    ReductionDepthError,
     StabilityError,
     correlator,
     get_engine,

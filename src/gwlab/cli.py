@@ -176,10 +176,9 @@ def _resolve_t(cfg, target) -> TPolynomial:
         return TPolynomial.zero(target, cfg["T"])
     if spec == "random":
         return TPolynomial.random(target, cfg["T"], cfg["seed"])
-    groups = [g for g in spec.split(";")]
     coeffs = []
-    for group in groups:
-        parts = [p for p in group.split(",")]
+    for group in spec.split(";"):
+        parts = group.split(",")
         if len(parts) != target.rank:
             raise UsageError(
                 f"each ; group of --t needs {target.rank} comma-separated rationals"

@@ -27,8 +27,10 @@ in key order, that it acts on: for ``_reduce`` and for the forced
 reductions ``reduce_divisor_first`` and ``reduce_recursion_first`` of the
 path-independence check.  These check their key as ``correlator`` does
 and raise ``InvalidKeyError`` for a malformed key or one no insertion of
-which admits the move.  The dilaton equation is checked by tests, never
-used as a move.
+which admits the move.  A reduction started by these or by
+``correlator_with_kernel`` that goes deeper than Python's recursion limit
+raises ``ReductionDepthError``, a ``CapabilityError`` naming the key.
+The dilaton equation is checked by tests, never used as a move.
 
 The cache behaves as a map from canonical key to value; evaluation is a
 pure function of the key given the cache, so concurrent duplicate
@@ -57,6 +59,10 @@ class StabilityError(ValueError):
 
 class CapabilityError(ValueError):
     """No primary backend is available for the requested target."""
+
+
+class ReductionDepthError(CapabilityError):
+    """A reduction goes deeper than Python's recursion limit."""
 
 
 class InvalidKeyError(ValueError):
@@ -122,7 +128,7 @@ class CorrelatorEngine:
             )
         if n == 0:
             raise StabilityError("correlators without insertions are not supported")
-        return self._eval(beta, ins)
+        return self._guarded(key, self._eval, beta, ins)
 
     def _check_key(self, beta: NovikovDegree, ins: tuple) -> None:
         """Checks a key from outside the engine; keys the reduction
@@ -164,7 +170,8 @@ class CorrelatorEngine:
         l = vdim(self.target, beta, m) - used - self.target.degree(kernel_alpha)
         if l < 0:
             return {}
-        val = self._eval(beta, tuple(sorted(fixed + ((kernel_alpha, l),))))
+        ins = tuple(sorted(fixed + ((kernel_alpha, l),)))
+        val = self._guarded((beta, ins), self._eval, beta, ins)
         if not val:
             return {}
         if sign < 0 and l % 2 == 0:
@@ -219,7 +226,17 @@ class CorrelatorEngine:
         rule, pos = self._move(ins, (move,))
         if rule is None:
             raise InvalidKeyError(f"no insertion of {ins} admits the {move[1:]} move")
-        return rule(beta, ins, pos) if self._fits(beta, ins) else Fraction(0)
+        return self._guarded((beta, ins), rule, beta, ins, pos) if self._fits(beta, ins) else Fraction(0)
+
+    def _guarded(self, key: Key, reduce, *args) -> Fraction:
+        """reduce(*args), the reduction of key from outside the engine; one
+        deeper than Python's recursion limit raises ReductionDepthError."""
+        try:
+            return reduce(*args)
+        except RecursionError:
+            raise ReductionDepthError(
+                f"reducing beta={key[0]}, insertions={key[1]} exceeds Python's recursion limit"
+            ) from None
 
     # ------------------------------------------------------------------
     # reduction system

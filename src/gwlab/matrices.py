@@ -2,15 +2,19 @@
 adjoint, and composition with the z sign flip.
 
 Entries are sparse maps (z exponent, row, column, novikov, eps) ->
-rational.  Matrices built here are complete within their window, so a
-composition is exact on every retained grade; its window is the sum of
-the factor windows and nothing is dropped in z.
+rational.  Every matrix is built column by column, and a composition
+applies its first factor to each column of the second through
+``EndoSeries.apply_linear``, the one product of a matrix with a series.
+Matrices built here are complete within their window, so a composition
+is exact on every retained grade; its window is the sum of the factor
+windows and nothing is dropped in z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .cone import TPolynomial, s_adjoint_corr_apply, s_apply
 from .correlators import CorrelatorEngine
@@ -46,48 +50,47 @@ class EndoSeries:
     def apply_linear(self, f: LoopSeries, out_trunc: Truncation) -> LoopSeries:
         """Matrix action extended z-linearly: entries convolve with the z
         powers of f.  This is the linear extension of the operator to the
-        whole space, as opposed to the substitution extension."""
+        whole space, as opposed to the substitution extension.  An entry
+        meets only the f terms of its column that fit ``out_trunc``, checked
+        on total degrees before the degrees are added."""
         if f.target != self.target:
             raise MismatchError("operand lives over a different target")
+        max_n, max_e = out_trunc.novikov_order, out_trunc.epsilon_order
+        by_col: dict[int, list] = {}
+        for (z, alpha, beta, eps), c in f.terms.items():
+            by_col.setdefault(alpha, []).append((z, beta, beta_total(beta), eps, c))
         acc = SeriesAccumulator(self.target, out_trunc)
         for (z_e, row, col, beta_e, eps_e), m in self.entries.items():
-            for (z_f, alpha, beta_f, eps_f), c in f.terms.items():
-                if alpha != col:
-                    continue
-                acc.add(z_e + z_f, row, beta_add(beta_e, beta_f), eps_e + eps_f, m * c)
+            n_e = beta_total(beta_e)
+            for z_f, beta_f, n_f, eps_f, c in by_col.get(col, ()):
+                if n_e + n_f <= max_n and eps_e + eps_f <= max_e:
+                    acc.add(z_e + z_f, row, beta_add(beta_e, beta_f), eps_e + eps_f, m * c)
         return acc.series()
 
-
-def identity_endo(target: TargetSpace, trunc: Truncation) -> EndoSeries:
-    b0 = beta_zero(target.class_rank)
-    entries = {(0, a, a, b0, 0): Fraction(1) for a in range(target.rank)}
-    return EndoSeries(target, trunc, entries)
-
-
-def _add_entry(entries, trunc, z, row, col, beta, eps, val):
-    if not val:
-        return
-    if not trunc.admits_grade(beta, eps):
-        return
-    trunc.check_window(z)
-    key = (z, row, col, beta, eps)
-    entries[key] = entries.get(key, Fraction(0)) + val
-    if not entries[key]:
-        del entries[key]
+    def column(self, col: int) -> LoopSeries:
+        """Column col as a series in the basis index."""
+        return LoopSeries(self.target, self.trunc, {
+            (z, row, beta, eps): val for (z, row, c, beta, eps), val in self.entries.items() if c == col
+        })
 
 
-def _columns(target: TargetSpace, trunc: Truncation, apply) -> EndoSeries:
-    """The matrix whose column col is apply(phi_col)."""
+def _columns(target: TargetSpace, trunc: Truncation, column) -> EndoSeries:
+    """The matrix whose column col is the series column(col)."""
     entries = {}
     for col in range(target.rank):
-        for (z, row, beta, eps), val in apply(LoopSeries.basis(target, trunc, col)).terms.items():
+        for (z, row, beta, eps), val in column(col).terms.items():
             entries[(z, row, col, beta, eps)] = val
     return EndoSeries(target, trunc, entries)
 
 
+def identity_endo(target: TargetSpace, trunc: Truncation) -> EndoSeries:
+    return _columns(target, trunc, lambda col: LoopSeries.basis(target, trunc, col))
+
+
 def s_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> EndoSeries:
     """Column alpha is the solution operator applied to phi_alpha."""
-    return _columns(t.target, trunc, lambda f: s_apply(t, f, trunc, engine))
+    basis = partial(LoopSeries.basis, t.target, trunc)
+    return _columns(t.target, trunc, lambda col: s_apply(t, basis(col), trunc, engine))
 
 
 def s_adjoint_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> EndoSeries:
@@ -95,7 +98,8 @@ def s_adjoint_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine
 
         S*(z)(v) = v + sum Q^beta eps^n / n! <v, t, ..., t, phi_a/(z - psi)> phi^a.
     """
-    return _columns(t.target, trunc, lambda r: s_adjoint_corr_apply(t, r, +1, trunc, engine))
+    basis = partial(LoopSeries.basis, t.target, trunc)
+    return _columns(t.target, trunc, lambda col: s_adjoint_corr_apply(t, basis(col), +1, trunc, engine))
 
 
 def flip_z(e: EndoSeries) -> EndoSeries:
@@ -118,8 +122,9 @@ def poincare_adjoint(e: EndoSeries) -> EndoSeries:
             for c in range(target.rank):
                 w = pinv[r][col] * p[row][c]
                 if w:
-                    _add_entry(entries, e.trunc, z, r, c, beta, eps, w * val)
-    return EndoSeries(target, e.trunc, entries)
+                    key = (z, r, c, beta, eps)
+                    entries[key] = entries.get(key, Fraction(0)) + w * val
+    return EndoSeries(target, e.trunc, {key: val for key, val in entries.items() if val})
 
 
 def compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) -> EndoSeries:
@@ -131,22 +136,6 @@ def compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) 
     """
     if a.target != b.target:
         raise MismatchError("endomorphisms live over different targets")
-    wide = Truncation(
-        trunc.novikov_order,
-        trunc.epsilon_order,
-        a.trunc.z_min + b.trunc.z_min,
-        a.trunc.z_max + b.trunc.z_max,
-    )
-    by_col: dict[int, list] = {}
-    for (z, row, col, beta, eps), val in b.entries.items():
-        if flip_second and z % 2:
-            val = -val
-        by_col.setdefault(row, []).append((z, col, beta, eps, val))
-    entries = {}
-    for (z1, row, mid, b1, e1), v1 in a.entries.items():
-        for (z2, col, b2, e2, v2) in by_col.get(mid, ()):
-            beta = beta_add(b1, b2)
-            if beta_total(beta) > wide.novikov_order or e1 + e2 > wide.epsilon_order:
-                continue
-            _add_entry(entries, wide, z1 + z2, row, col, beta, e1 + e2, v1 * v2)
-    return EndoSeries(a.target, wide, entries)
+    wide = replace(trunc, z_min=a.trunc.z_min + b.trunc.z_min, z_max=a.trunc.z_max + b.trunc.z_max)
+    b = flip_z(b) if flip_second else b
+    return _columns(a.target, wide, lambda col: a.apply_linear(b.column(col), wide))

@@ -193,22 +193,12 @@ class TargetSpace:
                         raise ConfigurationError("cup product is not associative")
 
 
-def _f(x) -> Fraction:
-    return Fraction(x)
-
-
 def _projective_space(name: str, r: int) -> TargetSpace:
     # Basis 1, H, ..., H^r; pairing is the antidiagonal of ones.
     n = r + 1
-    pairing = tuple(
-        tuple(_f(1) if i + j == r else _f(0) for j in range(n)) for i in range(n)
-    )
+    pairing = tuple(tuple(Fraction(i + j == r) for j in range(n)) for i in range(n))
     cup = tuple(
-        tuple(
-            tuple(_f(1) if (i + j <= r and k == i + j) else _f(0) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(tuple(Fraction(k == i + j) for k in range(n)) for j in range(n)) for i in range(n)
     )
     return TargetSpace(
         name=name,
@@ -230,8 +220,8 @@ def make_target(name: str) -> TargetSpace:
             name="point",
             dim=0,
             basis_degrees=(0,),
-            pairing=((_f(1),),),
-            cup_tensor=(((_f(1),),),),
+            pairing=((Fraction(1),),),
+            cup_tensor=(((Fraction(1),),),),
             class_rank=0,
             c1_vector=(),
             divisor_rows=(),

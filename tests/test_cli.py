@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gwlab import checks
@@ -408,8 +412,29 @@ def _argv(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=_argv())
+@example(argv=["correlator", "--target", "P1", "d=100; (0,199) (1,0) (1,0)"])
+@example(argv=["correlator", "--target", "P1", "d=200; (0,399) (1,0) (1,0)"])
 def test_cli_fuzz_exit_codes(capsys, argv):
     # Small inputs only: every run ends in an exact answer or a named
     # error with a documented exit code, never an escaping exception.
     assert main(argv) in {0, 1, 2, 3}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [100, 200])
+def test_correlator_deeper_than_the_recursion_limit_exits_1(d):
+    # In a fresh process at Python's default recursion limit; hypothesis
+    # raises the limit while it runs a test, so the fuzz above computes
+    # these two queries exactly instead.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    query = f"d={d}; (0,{2 * d - 1}) (1,0) (1,0)"
+    done = subprocess.run(
+        [sys.executable, "-m", "gwlab.cli", "correlator", "--target", "P1", query],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"reducing beta=({d},), insertions=((0, {2 * d - 1}), (1, 0), (1, 0)) "
+        "exceeds Python's recursion limit\n"
+    )

@@ -20,6 +20,7 @@ from gwlab import (
     CapabilityError,
     CorrelatorEngine,
     InvalidKeyError,
+    ReductionDepthError,
     StabilityError,
     correlator,
     get_engine,
@@ -457,3 +458,25 @@ def test_plane_count_does_not_recurse_on_the_degree():
     )
     assert done.returncode == 0, done.stderr
     assert Fraction(done.stdout.strip()) == rational_plane_curves(150)
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("correlator", ((100,), [(0, 199), (1, 0), (1, 0)])),
+        ("correlator", ((200,), [(0, 399), (1, 0), (1, 0)])),
+        ("correlator_with_kernel", ((100,), [(1, 0), (1, 0)], 0, 1)),
+        ("reduce_divisor_first", ((100,), [(0, 199), (1, 0), (1, 0)])),
+        ("reduce_recursion_first", ((100,), [(0, 199), (1, 0), (1, 0)])),
+    ],
+)
+def test_reduction_deeper_than_the_recursion_limit_is_named(method, args):
+    # The value itself waits for an iterative reducer; until then the
+    # depth is a named capability error and the engine stays usable.
+    engine = CorrelatorEngine(make_target("P1"))
+    d = args[0][0]
+    with pytest.raises(ReductionDepthError, match=rf"beta=\({d},\), insertions=\(\(0, {2 * d - 1}\)"):
+        getattr(engine, method)(*args)
+    assert issubclass(ReductionDepthError, CapabilityError)
+    assert not engine._active
+    assert engine.correlator((1,), [(1, 0), (1, 0)]) == 1
