@@ -195,34 +195,35 @@ def universal_relation(
     eps order one, the shift at order zero).
     """
     engine = engine or get_engine(t.target)
-    target = t.target
-    pinv = target.pairing_inverse
+    return _universal_relation(
+        t, k, alpha, trunc,
+        lambda fixed, extra_eps: double_bracket(t, fixed, trunc, engine, extra_eps=extra_eps),
+    )
+
+
+def _universal_relation(t: TPolynomial, k: int, alpha: int, trunc: Truncation, bracket) -> ScalarSeries:
+    """``universal_relation`` with ``bracket(fixed, extra_eps)`` giving
+    the double bracket of t at ``fixed``."""
+    pinv = t.target.pairing_inverse
     total = ScalarSeries(trunc, {})
     # Slot psi^{k-1} q(psi): monomials of t raise the psi power by their
     # z-power; the -z*1 summand contributes -1 psi^k at eps order zero.
     for j, a, c in t.monomials():
-        bracket = double_bracket(t, ((a, k - 1 + j), (alpha, 0)), trunc, engine, extra_eps=1)
-        total = total.add(bracket.scale(c))
-    total = total.add(
-        double_bracket(t, ((0, k), (alpha, 0)), trunc, engine, extra_eps=0).scale(-1)
-    )
+        total = total.add(bracket(((a, k - 1 + j), (alpha, 0)), 1).scale(c))
+    total = total.add(bracket(((0, k), (alpha, 0)), 0).scale(-1))
     # The series' own z^{-k} coefficient.
-    total = total.add(
-        double_bracket(t, ((alpha, k - 1),), trunc, engine).scale(Fraction(-1) ** k)
-    )
+    total = total.add(bracket(((alpha, k - 1),), 0).scale(Fraction(-1) ** k))
     # Cross terms between the fibre of the cone and the kernel expansion.
     for r in range(k - 1):
         sign = Fraction(-1) ** (1 + r)
-        for mu in range(target.rank):
-            one_pt = double_bracket(t, ((mu, r),), trunc, engine)
+        for mu in range(t.target.rank):
+            one_pt = bracket(((mu, r),), 0)
             if one_pt.is_zero():
                 continue
             two_pt = ScalarSeries(trunc, {})
             for nu, w in enumerate(pinv[mu]):
                 if w:
-                    two_pt = two_pt.add(
-                        double_bracket(t, ((nu, k - 2 - r), (alpha, 0)), trunc, engine).scale(w)
-                    )
+                    two_pt = two_pt.add(bracket(((nu, k - 2 - r), (alpha, 0)), 0).scale(w))
             total = total.add(one_pt.mul(two_pt).scale(sign))
     return total
 
@@ -235,13 +236,24 @@ def check_universal_relations(
     engine: CorrelatorEngine | None = None,
     seed: int | None = None,
 ) -> CheckReport:
+    """``universal_relation`` for k = 2..k_max and every basis index.
+    The relations share most of their brackets, so each distinct bracket
+    is computed once per call and dropped when the call returns."""
     if k_max < 2:
         raise ValueError("relations start at k = 2")
     engine = engine or get_engine(t.target)
+    brackets: dict = {}
+
+    def bracket(fixed, extra_eps):
+        key = (tuple(sorted(fixed)), extra_eps)
+        if key not in brackets:
+            brackets[key] = double_bracket(t, fixed, trunc, engine, extra_eps=extra_eps)
+        return brackets[key]
+
     failures = []
     for k in range(2, k_max + 1):
         for alpha in range(t.target.rank):
-            failures += universal_relation(t, k, alpha, trunc, engine).to_records(k=k, alpha=alpha)
+            failures += _universal_relation(t, k, alpha, trunc, bracket).to_records(k=k, alpha=alpha)
     return _report("universal", t, trunc, failures, seed, k_max=k_max)
 
 

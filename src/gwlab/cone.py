@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .correlators import CorrelatorEngine, get_engine, is_stable
+from .correlators import CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
 from .series import (
     LoopSeries,
     MismatchError,
@@ -135,6 +135,19 @@ def _expansions(t: TPolynomial, n: int) -> tuple[tuple[Fraction, tuple[tuple[int
     return tuple(out)
 
 
+@lru_cache(maxsize=_EXPANSIONS_CACHE_SIZE)
+def _expansions_by_dim(t: TPolynomial, n: int) -> dict[int, tuple]:
+    """``_expansions(t, n)`` grouped by dimension, the sum of deg a + k
+    over the insertions, each group in expansion order.  A correlator is
+    zero unless its insertions fill the virtual dimension exactly, so a
+    bracket of one (beta, n) only ever needs one group."""
+    degree = t.target.degree
+    groups: dict[int, list] = {}
+    for weight, monos in _expansions(t, n):
+        groups.setdefault(sum(degree(a) + k for a, k in monos), []).append((weight, monos))
+    return {dim: tuple(group) for dim, group in groups.items()}
+
+
 def kernel_depth_bound(target: TargetSpace, D: int, E: int) -> int:
     """Largest psi power a kernel slot can carry within (D, E), from the
     dimension filter over all degrees <= D and at most E+2 insertions."""
@@ -183,6 +196,7 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     graded = [
         (key, [(z, b, beta_total(b), e, c) for z, b, e, c in terms]) for key, terms in operand
     ]
+    expansions: dict[int, tuple] = {}  # by n, so t is hashed once per n
     for beta, n in grades:
         room_beta, room_eps = D - beta_total(beta), E - n
         fitting = []
@@ -196,7 +210,9 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
                 fitting.append((key, fits))
         if not fitting:
             continue
-        for weight, monos in _expansions(t, n):
+        if n not in expansions:
+            expansions[n] = _expansions(t, n)
+        for weight, monos in expansions[n]:
             for key, fits in fitting:
                 kernel = block(beta, key, monos)
                 if not kernel:
@@ -335,12 +351,27 @@ def double_bracket(
 
 def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
     """sum Q^beta eps^(n + extra_eps) / n! <fixed..., t(psi) x n> over the
-    stable (beta, n), leaving out the insertion-free correlators."""
+    stable (beta, n), leaving out the insertion-free correlators.
+
+    Only the expansions that fill what the fixed slots leave of the
+    virtual dimension are looked up; the rest fail the engine's dimension
+    filter and are zero.  The fixed slots are checked as
+    ``engine.correlator`` checks a key, at the first grade that has an
+    expansion, so a malformed slot raises there even if no expansion
+    fills its dimension.
+    """
+    target = t.target
+    top = trunc.epsilon_order - extra_eps
+    views = [_expansions_by_dim(t, n) for n in range(top + 1)]
+    used = None
     terms: dict = {}
-    for beta, n in _stable_pairs(t.target, trunc, len(fixed), trunc.epsilon_order - extra_eps):
-        if not fixed and not n:
+    for beta, n in _stable_pairs(target, trunc, len(fixed), top):
+        if (not fixed and not n) or not views[n]:
             continue
-        for weight, monos in _expansions(t, n):
+        if used is None:
+            engine._check_key(*canonical_key(beta, fixed))
+            used = sum(target.degree(a) + k for a, k in fixed)
+        for weight, monos in views[n].get(vdim(target, beta, n + len(fixed)) - used, ()):
             val = engine.correlator(beta, fixed + monos)
             if val:
                 key = (beta, n + extra_eps)
