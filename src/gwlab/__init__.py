@@ -11,6 +11,7 @@ from .checks import (
     CheckReport,
     check_cone_in_tangent,
     check_darboux,
+    check_engine_oracles,
     check_inverse,
     check_lagrangian,
     check_polynomiality,
@@ -44,6 +45,7 @@ from .correlators import (
 )
 from .localisation import (
     SplittingRecord,
+    check_localisation,
     check_main_identity,
     contribution,
     enumerate_splittings,

@@ -1,6 +1,6 @@
-"""Verification suites over the builders: Darboux relations, hidden
-polynomiality, the inverse identity, universal relations, the residue
-vanishing and tangent-space membership.
+"""Verification suites over the builders: Darboux relations, the engine
+against its oracles, hidden polynomiality, the inverse identity,
+universal relations, the residue vanishing and tangent-space membership.
 
 Every check is an exact statement about rational coefficients, and its
 report lists the complete set of offending grades.  A report passes
@@ -13,10 +13,13 @@ reproduce.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
+from . import oracles
 from .cone import (
     TPolynomial,
     cone_point,
@@ -25,10 +28,10 @@ from .cone import (
     s_apply,
     tangent_vector,
 )
-from .correlators import CorrelatorEngine, get_engine
+from .correlators import CorrelatorEngine, get_engine, vdim
 from .matrices import compose, s_adjoint_matrix, s_matrix
 from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record
-from .targets import TargetSpace, beta_add, beta_zero, iter_betas
+from .targets import TargetSpace, beta_add, beta_zero, iter_betas, make_target
 
 
 @dataclass
@@ -126,6 +129,62 @@ def check_darboux(target: TargetSpace, k_max: int = 6) -> CheckReport:
         name="darboux",
         params={"target": target.name, "k_max": k_max},
         failures=failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The correlator engine against its oracles.
+
+
+@_timed
+def check_engine_oracles(seed: int) -> CheckReport:
+    """The engine against ``oracles``, and against itself along two reduction orders."""
+    failures = []
+    point = make_target("point")
+    engine = get_engine(point)
+    for n in range(3, 9):
+        for ks in combinations_with_replacement(range(n - 2), n):
+            if sum(ks) != n - 3:
+                continue
+            got = engine.correlator((), [(0, k) for k in ks])
+            want = oracles.point_psi_integral(ks)
+            if got != want or want != oracles.point_psi_closed_form(ks):
+                failures.append({"point_psi": list(ks)})
+    p2 = get_engine(make_target("P2"))
+    for d, expected in ((1, 1), (2, 1), (3, 12), (4, 620)):
+        got = p2.correlator((d,), [(2, 0)] * (3 * d - 1))
+        if got != oracles.rational_plane_curves(d) or got != expected:
+            failures.append({"plane_degree": d, "got": str(got)})
+    rng = random.Random(seed)
+    checked = 0
+    attempts = 0
+    while checked < 100 and attempts < 20000:
+        attempts += 1
+        name = rng.choice(("P1", "P2"))
+        target = make_target(name)
+        eng = get_engine(target)
+        d = rng.randint(1, 3)
+        n = rng.randint(3, 6)
+        ins = [(rng.randrange(target.rank), rng.randint(0, 3)) for _ in range(n - 1)]
+        ins.append((1, 0))  # guarantee the divisor rule applies
+        if not any(k > 0 for _, k in ins):
+            continue
+        shortfall = vdim(target, (d,), n) - sum(target.degree(a) + k for a, k in ins)
+        if shortfall > 0:
+            a0, k0 = ins[0]
+            ins[0] = (a0, k0 + shortfall)
+        elif shortfall < 0:
+            continue
+        via_divisor = eng.reduce_divisor_first((d,), ins)
+        via_recursion = eng.reduce_recursion_first((d,), ins)
+        if via_divisor != via_recursion:
+            failures.append({"path_independence": [name, d, sorted(ins)]})
+        checked += 1
+    return CheckReport(
+        name="engine-oracles",
+        params={"path_independence_keys": checked},
+        failures=failures,
+        seed=seed,
     )
 
 

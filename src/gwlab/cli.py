@@ -14,47 +14,48 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
 
-from . import oracles
 from .checks import (
-    CheckReport,
-    _timed,
     _trunc_params,
     check_cone_in_tangent,
     check_darboux,
+    check_engine_oracles,
     check_inverse,
     check_lagrangian,
     check_polynomiality,
     check_universal_relations,
 )
-from .cone import (
-    TPolynomial,
-    cone_point,
-    s_apply,
-    sufficient_window,
-    tangent_vector,
-)
-from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine, vdim
-from .localisation import check_main_identity, enumerate_splittings, localisation_sum
+from .cone import TPolynomial, cone_point, s_apply, sufficient_window, tangent_vector
+from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
+from .localisation import check_localisation, localisation_sum
 from .series import Truncation, TruncationOverflowError
-from .targets import ConfigurationError, iter_betas, load_target, make_target
+from .targets import ConfigurationError, load_target, make_target
 
-SUITES = (
-    "darboux",
-    "engine-oracles",
-    "polynomiality",
-    "inverse",
-    "universal",
-    "lagrangian",
-    "tangent",
-    "localisation",
-)
+_Run = namedtuple("_Run", "t trunc engine seed k_max")
+
+# Suite name -> runner of a _Run, in report order.  A runner looks its check
+# up in this module's globals when called, so a check patched here is the one run.
+_SUITE_RUNNERS = {
+    "darboux": lambda run: check_darboux(run.t.target, k_max=6),
+    "engine-oracles": lambda run: check_engine_oracles(run.seed),
+    "polynomiality": lambda run: check_polynomiality(run.t, run.trunc, run.engine, seed=run.seed),
+    "inverse": lambda run: check_inverse(run.t, run.trunc, run.engine, seed=run.seed),
+    "universal": lambda run: check_universal_relations(
+        run.t, run.k_max, run.trunc, run.engine, seed=run.seed
+    ),
+    "lagrangian": lambda run: check_lagrangian(run.t, run.trunc, run.engine, j_max=1, seed=run.seed),
+    "tangent": lambda run: check_cone_in_tangent(run.t, run.trunc, run.engine, seed=run.seed),
+    "localisation": lambda run: check_localisation(run.t, run.trunc, run.engine, seed=run.seed),
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+# Former names of two suites, still called by tests/test_report_reference.py.
+_engine_oracle_report = check_engine_oracles
+_localisation_report = check_localisation
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -157,12 +158,6 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _resolve_target(cfg):
-    if cfg.get("target_config"):
-        return load_target(_load_config_file(cfg["target_config"]))
-    return make_target(cfg["target"])
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -206,98 +201,16 @@ def _resolve_truncation(cfg, target) -> Truncation:
         raise ConfigurationError(str(exc)) from exc
 
 
-# ---------------------------------------------------------------------------
-# suites
-
-
-@_timed
-def _engine_oracle_report(seed: int) -> CheckReport:
-    failures = []
-    point = make_target("point")
-    engine = get_engine(point)
-    for n in range(3, 9):
-        for ks in combinations_with_replacement(range(n - 2), n):
-            if sum(ks) != n - 3:
-                continue
-            got = engine.correlator((), [(0, k) for k in ks])
-            want = oracles.point_psi_integral(ks)
-            if got != want or want != oracles.point_psi_closed_form(ks):
-                failures.append({"point_psi": list(ks)})
-    p2 = get_engine(make_target("P2"))
-    for d, expected in ((1, 1), (2, 1), (3, 12), (4, 620)):
-        got = p2.correlator((d,), [(2, 0)] * (3 * d - 1))
-        if got != oracles.rational_plane_curves(d) or got != expected:
-            failures.append({"plane_degree": d, "got": str(got)})
-    rng = random.Random(seed)
-    checked = 0
-    attempts = 0
-    while checked < 100 and attempts < 20000:
-        attempts += 1
-        name = rng.choice(("P1", "P2"))
-        target = make_target(name)
-        eng = get_engine(target)
-        d = rng.randint(1, 3)
-        n = rng.randint(3, 6)
-        ins = [(rng.randrange(target.rank), rng.randint(0, 3)) for _ in range(n - 1)]
-        ins.append((1, 0))  # guarantee the divisor rule applies
-        if not any(k > 0 for _, k in ins):
-            continue
-        shortfall = vdim(target, (d,), n) - sum(target.degree(a) + k for a, k in ins)
-        if shortfall > 0:
-            a0, k0 = ins[0]
-            ins[0] = (a0, k0 + shortfall)
-        elif shortfall < 0:
-            continue
-        via_divisor = eng.reduce_divisor_first((d,), ins)
-        via_recursion = eng.reduce_recursion_first((d,), ins)
-        if via_divisor != via_recursion:
-            failures.append({"path_independence": [name, d, sorted(ins)]})
-        checked += 1
-    return CheckReport(
-        name="engine-oracles",
-        params={"path_independence_keys": checked},
-        failures=failures,
-        seed=seed,
-    )
-
-
-def _localisation_report(t, trunc, engine, seed):
-    report = check_main_identity(t, trunc, engine, seed=seed)
-    target = t.target
-    for beta in iter_betas(target.class_rank, trunc.novikov_order):
-        for n in range(trunc.epsilon_order + 1):
-            records = enumerate_splittings(target, beta, n)
-            subsets = oracles.brute_force_splittings(target, beta, n)
-            shapes = [(r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf) for r in records]
-            if sorted(shapes) != sorted(subsets):
-                report.failures.append({"enumeration": [list(beta), n]})
-            if len(set(records)) != len(records):
-                report.failures.append({"duplicate_records": [list(beta), n]})
-            # count / n! must be the record weight 1 / (n0! n_inf!)
-            if any(
-                subsets.get(s, 0) * factorial(s[3]) * factorial(s[4]) != factorial(n) for s in shapes
-            ):
-                report.failures.append({"weights": [list(beta), n]})
-    return report
-
-
-def _run_suites(cfg, suites, k_max, target, trunc, t) -> list[CheckReport]:
-    engine = get_engine(target)
-    seed = cfg["seed"]
-    runners = {
-        "darboux": lambda: check_darboux(target, k_max=6),
-        "engine-oracles": lambda: _engine_oracle_report(seed),
-        "polynomiality": lambda: check_polynomiality(t, trunc, engine, seed=seed),
-        "inverse": lambda: check_inverse(t, trunc, engine, seed=seed),
-        "universal": lambda: check_universal_relations(t, k_max, trunc, engine, seed=seed),
-        "lagrangian": lambda: check_lagrangian(t, trunc, engine, j_max=1, seed=seed),
-        "tangent": lambda: check_cone_in_tangent(t, trunc, engine, seed=seed),
-        "localisation": lambda: _localisation_report(t, trunc, engine, seed),
-    }
-    unknown = next((s for s in suites if s not in runners), None)
-    if unknown is not None:
-        raise UsageError(f"unknown suite {unknown!r}; choose from {SUITES}")
-    return [runners[suite]() for suite in suites]
+def _resolve_run(args, check_usage=lambda: None):
+    """Config, target, truncation and t, in the order that picks the error a
+    bad run reports; ``check_usage`` runs between the config and the target."""
+    cfg = _merge_config(args)
+    check_usage()
+    if cfg.get("target_config"):
+        target = load_target(_load_config_file(cfg["target_config"]))
+    else:
+        target = make_target(cfg["target"])
+    return cfg, target, _resolve_truncation(cfg, target), _resolve_t(cfg, target)
 
 
 def _emit(payload: dict, cfg, fmt_human_lines) -> None:
@@ -316,14 +229,18 @@ def _emit(payload: dict, cfg, fmt_human_lines) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _merge_config(args)
     suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
-    if "universal" in suites and args.k_max < 2:
-        raise UsageError(f"--k-max is {args.k_max}; the universal relations start at k = 2")
-    target = _resolve_target(cfg)
-    trunc = _resolve_truncation(cfg, target)
-    t = _resolve_t(cfg, target)
-    reports = _run_suites(cfg, suites, args.k_max, target, trunc, t)
+
+    def check_k_max():
+        if "universal" in suites and args.k_max < 2:
+            raise UsageError(f"--k-max is {args.k_max}; the universal relations start at k = 2")
+
+    cfg, target, trunc, t = _resolve_run(args, check_k_max)
+    unknown = next((s for s in suites if s not in _SUITE_RUNNERS), None)
+    if unknown is not None:
+        raise UsageError(f"unknown suite {unknown!r}; choose from {SUITES}")
+    run = _Run(t, trunc, get_engine(target), cfg["seed"], args.k_max)
+    reports = [_SUITE_RUNNERS[suite](run) for suite in suites]
     passed = all(r.passed for r in reports)
     payload = {
         "config": {
@@ -346,10 +263,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    cfg = _merge_config(args)
-    target = _resolve_target(cfg)
-    trunc = _resolve_truncation(cfg, target)
-    t = _resolve_t(cfg, target)
+    cfg, target, trunc, t = _resolve_run(args)
     engine = get_engine(target)
     if args.which == "tangent" and not (0 <= args.alpha < target.rank and args.k >= 0):
         raise UsageError(

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
+from . import oracles
 from .checks import CheckReport, _report, _timed
 from .cone import TPolynomial, _kernel_sum, cone_point, s_apply
 from .correlators import CorrelatorEngine, get_engine
@@ -193,3 +195,26 @@ def check_main_identity(
                 )
             )
     return _report("localisation", t, trunc, failures, seed)
+
+
+@_timed
+def check_localisation(t: TPolynomial, trunc: Truncation, engine=None, seed=None) -> CheckReport:
+    """``check_main_identity`` plus the records of every retained (beta, n)
+    against ``oracles.brute_force_splittings``: shapes, duplicates, weights."""
+    report = check_main_identity(t, trunc, engine, seed=seed)
+    target = t.target
+    for beta in iter_betas(target.class_rank, trunc.novikov_order):
+        for n in range(trunc.epsilon_order + 1):
+            records = enumerate_splittings(target, beta, n)
+            subsets = oracles.brute_force_splittings(target, beta, n)
+            shapes = [(r.kind, r.beta0, r.beta_inf, r.n0, r.n_inf) for r in records]
+            if sorted(shapes) != sorted(subsets):
+                report.failures.append({"enumeration": [list(beta), n]})
+            if len(set(records)) != len(records):
+                report.failures.append({"duplicate_records": [list(beta), n]})
+            # count / n! must be the record weight 1 / (n0! n_inf!)
+            if any(
+                subsets.get(s, 0) * factorial(s[3]) * factorial(s[4]) != factorial(n) for s in shapes
+            ):
+                report.failures.append({"weights": [list(beta), n]})
+    return report

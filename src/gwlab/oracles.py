@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .targets import NovikovDegree, TargetSpace, beta_splits
 
+_PSI_CACHE_SIZE = 1 << 13  # above the 6,925 keys that all n <= 8 integrals visit
+_PLANE_CACHE_SIZE = 1024  # above every degree reachable under the default recursion limit
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_PSI_CACHE_SIZE)
 def point_psi_integral(powers: tuple[int, ...]) -> Fraction:
     """Integral of psi_1^{k_1} ... psi_n^{k_n} over the n-pointed genus-zero
     moduli of curves, by repeated use of the string equation alone.
@@ -51,13 +54,10 @@ def point_psi_closed_form(powers: tuple[int, ...]) -> Fraction:
     n = len(powers)
     if sum(powers) != n - 3:
         return Fraction(0)
-    denom = 1
-    for k in powers:
-        denom *= factorial(k)
-    return Fraction(factorial(n - 3), denom)
+    return Fraction(factorial(n - 3), prod(map(factorial, powers)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PLANE_CACHE_SIZE)
 def rational_plane_curves(d: int) -> Fraction:
     """Number of rational plane curves of degree d through 3d-1 points.
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwlab import correlators
+from gwlab import correlators, oracles
 from gwlab import (
     CapabilityError,
     CorrelatorEngine,
@@ -62,6 +62,23 @@ def test_oracle_point_psi_matches_closed_form():
 def test_oracle_plane_curve_counts():
     assert [rational_plane_curves(d) for d in (1, 2, 3, 4)] == [1, 1, 12, 620]
     assert rational_plane_curves(5) == 87304
+
+
+def test_point_psi_cache_is_bounded():
+    assert point_psi_integral.cache_info().maxsize == oracles._PSI_CACHE_SIZE
+    point_psi_integral.cache_clear()
+    # The n = 9 integrals visit more keys than the bound holds.
+    for n in range(3, 10):
+        for ks in combinations_with_replacement(range(n - 2), n):
+            assert point_psi_integral(ks) == point_psi_closed_form(ks)
+    assert point_psi_integral.cache_info().currsize == oracles._PSI_CACHE_SIZE
+
+
+def test_plane_curve_cache_is_bounded_and_holds_degree_150():
+    assert rational_plane_curves.cache_info().maxsize == oracles._PLANE_CACHE_SIZE >= 150
+    rational_plane_curves.cache_clear()
+    assert rational_plane_curves(150) == get_engine(P2).correlator((150,), [(2, 0)] * 449)
+    assert rational_plane_curves.cache_info().currsize == 150
 
 
 # ---------------------------------------------------------------------------

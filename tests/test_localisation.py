@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 from math import factorial
 
+from gwlab import cli, localisation, oracles
 from gwlab import (
     LoopSeries,
     TPolynomial,
@@ -153,3 +155,24 @@ def test_main_identity_grade_isolation():
         broken = dict(left.terms)
         del broken[key]
         assert LoopSeries(P1, tr, broken) != right
+
+
+def test_localisation_suite_times_its_record_checks(monkeypatch):
+    """The suite's elapsed time covers the record checks, not only the
+    identity, both called directly and through the CLI's suite table."""
+    real = oracles.brute_force_splittings
+    naps = []
+
+    def slow_once(*args):
+        if naps:
+            time.sleep(naps.pop())
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "brute_force_splittings", slow_once)
+    t = TPolynomial.random(P1, 1, seed=7)
+    tr = default_truncation(P1, 1, 1, 1)
+    naps.append(0.05)
+    assert localisation.check_localisation(t, tr).elapsed >= 0.05
+    naps.append(0.05)
+    run = cli._Run(t, tr, get_engine(P1), 7, 4)
+    assert cli._SUITE_RUNNERS["localisation"](run).elapsed >= 0.05
