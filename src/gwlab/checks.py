@@ -192,6 +192,13 @@ def check_engine_oracles(seed: int) -> CheckReport:
 # Hidden polynomiality of the transformed cone.
 
 
+def _transformed_cone(t: TPolynomial, trunc: Truncation, engine) -> tuple[LoopSeries, list]:
+    """S(cone point) and its z^{<=0} keys, which polynomiality and tangent require to vanish."""
+    value = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
+    _, offenders = value.is_z_polynomial(strict=True)
+    return value, offenders
+
+
 @_timed
 def check_polynomiality(
     t: TPolynomial,
@@ -201,9 +208,7 @@ def check_polynomiality(
 ) -> CheckReport:
     """Applying the solution operator to the cone point lands in z*H_plus:
     every coefficient of z^{<=0} must vanish exactly."""
-    engine = engine or get_engine(t.target)
-    value = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
-    _, offenders = value.is_z_polynomial(strict=True)
+    value, offenders = _transformed_cone(t, trunc, engine or get_engine(t.target))
     failures = [
         coefficient_record(b, e, value.coefficient(z, a, b, e), z_exp=z, basis=a)
         for (z, a, b, e) in offenders
@@ -464,9 +469,7 @@ def check_cone_in_tangent(
     """
     engine = engine or get_engine(t.target)
     target = t.target
-    f = cone_point(t, trunc, engine)
-    sf = s_apply(t, f, trunc, engine)
-    _, offenders = sf.is_z_polynomial(strict=True)
+    _, offenders = _transformed_cone(t, trunc, engine)
     failures = [
         {"part": "operator", "key": [z, a, list(b), e]} for (z, a, b, e) in offenders
     ]

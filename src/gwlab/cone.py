@@ -48,12 +48,9 @@ class TPolynomial:
 
     def monomials(self) -> tuple[tuple[int, int, Fraction], ...]:
         """Nonzero (z-power, basis index, coefficient) triples."""
-        out = []
-        for k, vec in enumerate(self.coeffs):
-            for alpha, c in enumerate(vec):
-                if c:
-                    out.append((k, alpha, c))
-        return tuple(out)
+        return tuple(
+            (k, alpha, c) for k, vec in enumerate(self.coeffs) for alpha, c in enumerate(vec) if c
+        )
 
     @classmethod
     def zero(cls, target: TargetSpace, degree: int = 0) -> "TPolynomial":
@@ -74,13 +71,11 @@ class TPolynomial:
 
 
 def dilaton_shift(t: TPolynomial, trunc: Truncation) -> LoopSeries:
-    """q(z) = t(z) - z*1, with the t part at eps order 1 (dropped at eps
-    order zero) and the shift at 0."""
+    """q(z) = t(z) - z*1, the cone point's degree-zero grade pieces: t at
+    eps order 1 (dropped at eps order zero) and the shift at 0."""
     acc = SeriesAccumulator(t.target, trunc)
-    b0 = beta_zero(t.target.class_rank)
-    acc.add(1, 0, b0, 0, Fraction(-1))
-    for k, alpha, c in t.monomials():
-        acc.add(k, alpha, b0, 1, c)
+    for n in (0, 1):
+        _cone_grade(acc, t, beta_zero(t.target.class_rank), n, None)
     return acc.series()
 
 
@@ -240,18 +235,38 @@ def cone_point(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | Non
 
         q(z) + sum Q^beta eps^n / n! <t, ..., t, phi_gamma/(-z - psi)> phi^gamma
 
-    summed over (beta, n) with (beta, n+1) stable, i.e. excluding the
-    unstable degree-zero cases with fewer than two t-insertions.
+    summed over (beta, n) with (beta, n+1) stable; the unstable grades,
+    degree zero with fewer than two t-insertions, hold q instead.  Each
+    grade is one ``_cone_grade`` piece.
     """
     engine = engine or get_engine(t.target)
     acc = SeriesAccumulator(t.target, trunc)
-    acc.add_series(dilaton_shift(t, trunc))
-    unit = [((), [(0, beta_zero(t.target.class_rank), 0, Fraction(1))])]
-    _kernel_sum(
-        acc, t, _stable_pairs(t.target, trunc, 1), unit,
-        lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, -1),
-    )
+    for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
+        for n in range(trunc.epsilon_order + 1):
+            _cone_grade(acc, t, beta, n, engine)
     return acc.series()
+
+
+def _cone_grade(acc: SeriesAccumulator, t: TPolynomial, beta, n: int, engine: CorrelatorEngine | None) -> None:
+    """Add the grade-(beta, n) piece of the cone point to acc:
+
+      -z * 1                                            (degree 0, no t-slot)
+      t(z)                                              (degree 0, one t-slot)
+      <t, ..., t, phi_gamma/(-z - psi)>_beta phi^gamma   (otherwise),
+
+    the last weighted by Q^beta eps^n / n!; only it reads the engine.
+    """
+    b0 = beta_zero(t.target.class_rank)
+    if beta == b0 and n == 0:
+        acc.add(1, 0, b0, 0, Fraction(-1))
+    elif beta == b0 and n == 1:
+        for k, alpha, c in t.monomials():
+            acc.add(k, alpha, b0, 1, c)
+    else:
+        _kernel_sum(
+            acc, t, [(beta, n)], [((), [(0, b0, 0, Fraction(1))])],
+            lambda b, slot, monos: engine.fibre_block(b, monos + slot, -1),
+        )
 
 
 def s_apply(

@@ -6,8 +6,8 @@ the zero end, a bridge mapped onto a fibre, and a piece over the
 infinity end.  Besides the generic shape there are five degenerate
 kinds, reflecting which end fails to carry a stable space of its own.
 
-Each contribution is a zero-end piece in grade (beta0, n0) -- the
-dilaton summand -z*1, t(z), or the fibre kernel of the cone point --
+Each contribution is the cone point's grade-(beta0, n0) piece at the
+zero end, built by the ``cone._cone_grade`` that sums the cone point,
 flowed by the solution operator's kernel in grade (beta_inf, n_inf)
 when the infinity end exists.  Summed over every record this is the
 solution operator applied to the cone point, coefficient by
@@ -30,17 +30,10 @@ from math import factorial
 
 from . import oracles
 from .checks import CheckReport, _report, _timed
-from .cone import TPolynomial, _kernel_sum, cone_point, s_apply
+from .cone import TPolynomial, _cone_grade, _kernel_sum, cone_point, s_apply
 from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
-from .targets import (
-    NovikovDegree,
-    TargetSpace,
-    beta_add,
-    beta_splits,
-    beta_zero,
-    iter_betas,
-)
+from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, iter_betas
 
 KINDS = ("generic", "case1", "case2", "case3", "case4", "case5")
 
@@ -115,15 +108,10 @@ def contribution(
     Q^beta and the combinatorial weight eps^n / (n0! n_inf!).
 
     The bridge factor -z of the localised class cancels against the
-    bridge deformation in the normal bundle, leaving a zero-end piece in
-    grade (beta0, n0), flowed by the kernel of the infinity end when that
-    end exists.  The zero-end piece is
-
-      -z * 1                                       (degree 0, no marking)
-      t(z)                                         (degree 0, one marking)
-      <t.., phi_gamma/(-z - psi)>_{beta0} phi^gamma   (otherwise),
-
-    and the infinity end maps each phi_a z^j of it to
+    bridge deformation in the normal bundle, leaving the cone point's
+    grade-(beta0, n0) piece at the zero end (``cone._cone_grade``),
+    flowed by the kernel of the infinity end when that end exists.  The
+    infinity end maps each phi_a z^j of the zero-end piece to
 
       <phi_a/(z - psi), t.., phi_gamma>_{beta_inf} phi^gamma z^j,
 
@@ -132,22 +120,10 @@ def contribution(
     flow -z*1 and t(z), and the generic record flows the fibre kernel.
     """
     engine = engine or get_engine(t.target)
-    target = t.target
-    b00 = beta_zero(target.class_rank)
-    acc = SeriesAccumulator(target, trunc)
+    acc = SeriesAccumulator(t.target, trunc)
     inf_end = any(rec.beta_inf) or rec.n_inf > 0
-    zero = _ZeroEnd(target, trunc) if inf_end else acc
-    if any(rec.beta0) or rec.n0 >= 2:
-        unit = [((), [(0, b00, 0, Fraction(1))])]
-        _kernel_sum(
-            zero, t, [(rec.beta0, rec.n0)], unit,
-            lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, -1),
-        )
-    elif rec.n0 == 0:
-        zero.add(1, 0, b00, 0, Fraction(-1))
-    else:
-        for j, a, c in t.monomials():
-            zero.add(j, a, b00, 1, c)
+    zero = _ZeroEnd(t.target, trunc) if inf_end else acc
+    _cone_grade(zero, t, rec.beta0, rec.n0, engine)
     if inf_end:
         # Fibre kernels of different t-expansions can cancel at a term.
         piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero._terms.items() if c]

@@ -17,8 +17,8 @@ from math import comb, factorial, prod
 
 from .targets import NovikovDegree, TargetSpace, beta_splits
 
-_PSI_CACHE_SIZE = 1 << 13  # above the 6,925 keys that all n <= 8 integrals visit
-_PLANE_CACHE_SIZE = 1024  # above every degree reachable under the default recursion limit
+_PSI_CACHE_SIZE = 1 << 13  # above the 2,970 sorted keys that all n <= 8 integrals visit
+_PLANE_CACHE_SIZE = 1024  # counts fill bottom up; up to this degree each is computed once
 
 
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
@@ -44,8 +44,8 @@ def point_psi_integral(powers: tuple[int, ...]) -> Fraction:
     total = Fraction(0)
     for j, k in enumerate(rest):
         if k >= 1:
-            lowered = rest[:j] + (k - 1,) + rest[j + 1:]
-            total += point_psi_integral(lowered)
+            # Sorted, so that each multiset of exponents is one memo entry.
+            total += point_psi_integral(tuple(sorted(rest[:j] + (k - 1,) + rest[j + 1:])))
     return total
 
 
@@ -71,17 +71,13 @@ def rational_plane_curves(d: int) -> Fraction:
         raise ValueError("degree must be positive")
     if d == 1:
         return Fraction(1)
-    total = Fraction(0)
-    for d1 in range(1, d):
-        d2 = d - d1
-        total += (
-            rational_plane_curves(d1)
-            * rational_plane_curves(d2)
-            * d1 ** 2
-            * d2
-            * (d2 * comb(3 * d - 4, 3 * d1 - 2) - d1 * comb(3 * d - 4, 3 * d1 - 1))
-        )
-    return total
+    # Lower degrees first, each from the ones below it, so no degree recurses.
+    counts = [None] + [rational_plane_curves(e) for e in range(1, d)]
+    return sum(
+        counts[d1] * counts[d - d1] * d1 ** 2 * (d - d1)
+        * ((d - d1) * comb(3 * d - 4, 3 * d1 - 2) - d1 * comb(3 * d - 4, 3 * d1 - 1))
+        for d1 in range(1, d)
+    )
 
 
 def brute_force_splittings(

@@ -100,6 +100,14 @@ class ScalarSeries:
                 clean[key] = v
         self.terms = clean
 
+    @classmethod
+    def _from_clean(cls, trunc: Truncation, terms: dict) -> "ScalarSeries":
+        """A series from Fraction terms at grades ``trunc`` admits, as the
+        operations below produce them; only the zeros are dropped."""
+        out = cls.__new__(cls)
+        out.trunc, out.terms = trunc, {key: val for key, val in terms.items() if val}
+        return out
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ScalarSeries)
@@ -122,11 +130,11 @@ class ScalarSeries:
         out = dict(self.terms)
         for key, val in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + val
-        return ScalarSeries(self.trunc, out)
+        return ScalarSeries._from_clean(self.trunc, out)
 
     def scale(self, c) -> "ScalarSeries":
         c = Fraction(c)
-        return ScalarSeries(self.trunc, {k: c * v for k, v in self.terms.items()})
+        return ScalarSeries._from_clean(self.trunc, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other: "ScalarSeries") -> "ScalarSeries":
         """Graded product; grades beyond the truncation are dropped exactly."""
@@ -138,7 +146,7 @@ class ScalarSeries:
                 key = (beta_add(b1, b2), e1 + e2)
                 if self.trunc.admits_grade(*key):
                     out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return ScalarSeries(self.trunc, out)
+        return ScalarSeries._from_clean(self.trunc, out)
 
     def to_records(self, **labels) -> list[dict]:
         """The terms in grade order, each a ``coefficient_record`` with ``labels``."""

@@ -81,6 +81,34 @@ def test_plane_curve_cache_is_bounded_and_holds_degree_150():
     assert rational_plane_curves.cache_info().currsize == 150
 
 
+def test_point_psi_memo_holds_one_entry_per_exponent_multiset():
+    point_psi_integral.cache_clear()
+    for n in range(3, 9):
+        for ks in combinations_with_replacement(range(n - 2), n):
+            point_psi_integral(ks)
+    assert point_psi_integral.cache_info().currsize == 2970
+
+
+def test_plane_curve_oracle_does_not_recurse_on_the_degree():
+    """A cold N_150 under a recursion limit below 150: lower degrees fill
+    bottom up.  Hypothesis raises the limit inside tests, hence the
+    subprocess."""
+    code = (
+        "import sys\n"
+        "from gwlab import get_engine, make_target\n"
+        "from gwlab.oracles import rational_plane_curves\n"
+        "sys.setrecursionlimit(120)\n"
+        "got = rational_plane_curves(150)\n"
+        "print(got == get_engine(make_target('P2')).correlator((150,), [(2, 0)] * 449))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
 # ---------------------------------------------------------------------------
 # dimension and stability
 

@@ -68,6 +68,15 @@ def _grade_dropped(real):
     return wrapper
 
 
+def _dilaton_doubled(real):
+    """The cone point's grade piece -z*1 added twice, wherever it is built."""
+    def wrapper(acc, t, beta, n, engine):
+        real(acc, t, beta, n, engine)
+        if not any(beta) and n == 0:
+            real(acc, t, beta, n, engine)
+    return wrapper
+
+
 def _kernel_sign_flipped(real):
     """S*(sign z) built with the kernel 1/(-sign z - psi)."""
     def wrapper(t, r, sign, trunc, engine=None):
@@ -111,6 +120,10 @@ FAULTS = {
     "kernel-sum-grade": (
         [(module, "_kernel_sum", _grade_dropped) for module in (cone, localisation)],
         {"polynomiality", "inverse", "tangent"},
+    ),
+    "cone-grade-piece": (
+        [(module, "_cone_grade", _dilaton_doubled) for module in (cone, localisation)],
+        {"polynomiality", "tangent"},
     ),
     "matrix-product": (
         [(EndoSeries, "apply_linear", lambda real: lambda self, *a: real(self, *a).scale(2))],
