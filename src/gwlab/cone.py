@@ -12,6 +12,7 @@ engine; they are pure given the engine cache.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,14 +58,11 @@ class TPolynomial:
         return cls(target, tuple((Fraction(0),) * target.rank for _ in range(degree + 1)))
 
     @classmethod
-    def random(cls, target: TargetSpace, degree: int, seed: int, bound: int = 9) -> "TPolynomial":
-        """Seeded small-rational coefficients, reproducible from the seed."""
+    def random(cls, target: TargetSpace, degree: int, seed: int) -> "TPolynomial":
+        """Seeded coefficients p/q with |p| <= 9 and 1 <= q <= 9, reproducible from the seed."""
         rng = random.Random(seed)
         coeffs = tuple(
-            tuple(
-                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                for _ in range(target.rank)
-            )
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(target.rank))
             for _ in range(degree + 1)
         )
         return cls(target, coeffs)
@@ -119,10 +117,7 @@ def _expansions(t: TPolynomial, n: int) -> tuple[tuple[Fraction, tuple[tuple[int
     out = []
     for combo in combinations_with_replacement(range(len(monos)), n):
         weight = Fraction(1)
-        mult: dict[int, int] = {}
-        for idx in combo:
-            mult[idx] = mult.get(idx, 0) + 1
-        for idx, m in mult.items():
+        for idx, m in Counter(combo).items():
             weight *= monos[idx][2] ** m
             weight /= factorial(m)
         insertions = tuple(sorted((monos[idx][1], monos[idx][0]) for idx in combo))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable
 
 from .targets import (
@@ -301,10 +301,7 @@ class CorrelatorEngine:
         top = t.integral(vec)
         if not top:
             return Fraction(0)
-        moment = Fraction(factorial(n - 3))
-        for _, k in ins:
-            moment /= factorial(k)
-        return top * moment
+        return top * Fraction(factorial(n - 3), prod(factorial(k) for _, k in ins))
 
     def _string(self, beta: NovikovDegree, ins: tuple, pos: int) -> Fraction:
         """<1, x_1, ..., x_n> = sum_j <x_1, ..., psi-lowered x_j, ..., x_n>."""
@@ -345,11 +342,8 @@ class CorrelatorEngine:
         """
         t = self.target
         a_c, k_c = ins[carrier_pos]
-        others = [i for i in range(len(ins)) if i != carrier_pos]
-        comp = others[:2]
-        spare = others[2:]
-        comp_ins = tuple(ins[i] for i in comp)
-        spare_ins = tuple(ins[i] for i in spare)
+        rest = ins[:carrier_pos] + ins[carrier_pos + 1:]
+        comp_ins, spare_ins = rest[:2], rest[2:]
         pinv = t.pairing_inverse
         total = Fraction(0)
         for b0, b1 in beta_splits(beta):

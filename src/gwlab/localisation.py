@@ -35,8 +35,6 @@ from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
 from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, iter_betas
 
-KINDS = ("generic", "case1", "case2", "case3", "case4", "case5")
-
 
 @dataclass(frozen=True)
 class SplittingRecord:
@@ -137,7 +135,6 @@ def localisation_sum(
     engine: CorrelatorEngine | None = None,
 ) -> LoopSeries:
     """Sum of all weighted contributions over (beta, n) within truncation."""
-    engine = engine or get_engine(t.target)
     acc = SeriesAccumulator(t.target, trunc)
     for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):
@@ -155,7 +152,6 @@ def check_main_identity(
 ) -> CheckReport:
     """localisation_sum(t) equals the solution operator applied to the cone
     point, exactly at every retained (z, basis, novikov, eps) grade."""
-    engine = engine or get_engine(t.target)
     left = localisation_sum(t, trunc, engine)
     right = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
     failures = []

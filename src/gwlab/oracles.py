@@ -97,7 +97,7 @@ def brute_force_splittings(
     counts: dict = {}
     for beta0, beta_inf in beta_splits(beta):
         for mask in range(1 << n):
-            n0 = bin(mask).count("1")
+            n0 = mask.bit_count()
             zero_end = any(beta0) or n0 >= 2
             inf_end = any(beta_inf) or n0 < n
             if zero_end:

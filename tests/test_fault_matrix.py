@@ -84,6 +84,13 @@ def _kernel_sign_flipped(real):
     return wrapper
 
 
+def _adjoint_kernel_negated(real):
+    """S*(sign z) r built as r - K r, where K r is its kernel sum."""
+    def wrapper(t, r, sign, trunc, engine=None):
+        return r.scale(2) - real(t, r, sign, trunc, engine)
+    return wrapper
+
+
 def _generic_relabelled(real):
     """Generic records listed under the kind case5."""
     def wrapper(*args):
@@ -140,6 +147,13 @@ FAULTS = {
     "adjoint-kernel-sign": (
         [(module, "s_adjoint_corr_apply", _kernel_sign_flipped) for module in (cone, checks, matrices)],
         {"inverse", "lagrangian", "tangent"},
+    ),
+    # Lagrangian cannot see a scale of the whole S* kernel: neither (r, u)
+    # nor (K r, K u) has a z^-1 term, so the residue of r + c K r against
+    # u + c K u is c times its value at c = 1, which is zero.
+    "adjoint-kernel-negated": (
+        [(module, "s_adjoint_corr_apply", _adjoint_kernel_negated) for module in (cone, checks, matrices)],
+        {"inverse", "tangent"},
     ),
     "record-kind": (
         [(localisation, "enumerate_splittings", _generic_relabelled)],
