@@ -13,6 +13,7 @@ reproduce.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ class CheckReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         started = time.perf_counter()
         report = fn(*args, **kwargs)

@@ -201,16 +201,14 @@ def _resolve_truncation(cfg, target) -> Truncation:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _resolve_run(args, check_usage=lambda: None):
-    """Config, target, truncation and t, in the order that picks the error a
-    bad run reports; ``check_usage`` runs between the config and the target."""
-    cfg = _merge_config(args)
-    check_usage()
+def _resolve_run(cfg):
+    """Target, truncation and t of a merged config, in the order that picks
+    the error a bad run reports."""
     if cfg.get("target_config"):
         target = load_target(_load_config_file(cfg["target_config"]))
     else:
         target = make_target(cfg["target"])
-    return cfg, target, _resolve_truncation(cfg, target), _resolve_t(cfg, target)
+    return target, _resolve_truncation(cfg, target), _resolve_t(cfg, target)
 
 
 def _emit(payload: dict, cfg, fmt_human_lines) -> None:
@@ -230,12 +228,10 @@ def _emit(payload: dict, cfg, fmt_human_lines) -> None:
 
 def _cmd_verify(args) -> int:
     suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
-
-    def check_k_max():
-        if "universal" in suites and args.k_max < 2:
-            raise UsageError(f"--k-max is {args.k_max}; the universal relations start at k = 2")
-
-    cfg, target, trunc, t = _resolve_run(args, check_k_max)
+    cfg = _merge_config(args)
+    if "universal" in suites and args.k_max < 2:
+        raise UsageError(f"--k-max is {args.k_max}; the universal relations start at k = 2")
+    target, trunc, t = _resolve_run(cfg)
     unknown = next((s for s in suites if s not in _SUITE_RUNNERS), None)
     if unknown is not None:
         raise UsageError(f"unknown suite {unknown!r}; choose from {SUITES}")
@@ -263,7 +259,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    cfg, target, trunc, t = _resolve_run(args)
+    cfg = _merge_config(args)
+    target, trunc, t = _resolve_run(cfg)
     engine = get_engine(target)
     if args.which == "tangent" and not (0 <= args.alpha < target.rank and args.k >= 0):
         raise UsageError(

@@ -335,7 +335,9 @@ class SeriesAccumulator:
     """Mutable builder used by the generating-function assemblers.
 
     Novikov/eps grades beyond the truncation are dropped (the graded
-    truncation is exact), while an out-of-window z-exponent raises.
+    truncation is exact).  The z-window is checked once, when ``series``
+    builds the result: a term outside it raises there unless it has
+    cancelled to zero.
     """
 
     __slots__ = ("target", "trunc", "_terms")
@@ -350,7 +352,6 @@ class SeriesAccumulator:
             return
         if not self.trunc.admits_grade(beta, eps):
             return
-        self.trunc.check_window(z_exp)
         key = (z_exp, alpha, beta, eps)
         self._terms[key] = self._terms.get(key, Fraction(0)) + value
 

@@ -163,15 +163,21 @@ class TargetSpace:
         return tuple(idx for idx, _ in self.divisor_rows)
 
     def validate(self) -> None:
-        n = self.rank
+        n, rank = self.rank, self.class_rank
+        if not n:
+            raise ConfigurationError("the basis is empty")
         if len(self.pairing) != n or any(len(r) != n for r in self.pairing):
             raise ConfigurationError("pairing matrix shape does not match basis")
+        if len(self.cup_tensor) != n or any(len(r) != n or any(len(v) != n for v in r) for r in self.cup_tensor):
+            raise ConfigurationError(f"cup tensor must be {n} x {n} x {n} to match the basis")
+        if rank < 0 or len(self.c1_vector) != rank:
+            raise ConfigurationError(f"class_rank {rank} must be >= 0 and the length of c1_vector")
+        if any(not 0 <= i < n or self.basis_degrees[i] != 1 or len(row) != rank for i, row in self.divisor_rows):
+            raise ConfigurationError(f"each divisor row must name a degree-1 basis class and have {rank} entries")
         if self.basis_degrees[0] != 0:
             raise ConfigurationError("basis index 0 must be the unit (degree 0)")
-        for i in range(n):
-            for j in range(n):
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise ConfigurationError("pairing matrix is not symmetric")
+        if self.pairing != tuple(zip(*self.pairing)):
+            raise ConfigurationError("pairing matrix is not symmetric")
         _ = self.pairing_inverse  # raises if singular
         for i in range(n):
             if self.cup_basis(0, i) != self.basis_vector(i) or self.cup_basis(i, 0) != self.basis_vector(i):
