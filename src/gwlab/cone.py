@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -42,6 +42,14 @@ class TPolynomial:
         for vec in self.coeffs:
             if len(vec) != self.target.rank:
                 raise ValueError("coefficient vector length does not match the basis")
+
+    @cached_property
+    def _hash(self) -> int:
+        # As for TargetSpace: t keys the expansion caches.
+        return hash((self.target, self.coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -186,7 +194,6 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     graded = [
         (key, [(z, b, beta_total(b), e, c) for z, b, e, c in terms]) for key, terms in operand
     ]
-    expansions: dict[int, tuple] = {}  # by n, so t is hashed once per n
     for beta, n in grades:
         room_beta, room_eps = D - beta_total(beta), E - n
         fitting = []
@@ -200,9 +207,7 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
                 fitting.append((key, fits))
         if not fitting:
             continue
-        if n not in expansions:
-            expansions[n] = _expansions(t, n)
-        for weight, monos in expansions[n]:
+        for weight, monos in _expansions(t, n):
             for key, fits in fitting:
                 kernel = block(beta, key, monos)
                 if not kernel:

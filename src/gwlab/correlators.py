@@ -86,9 +86,10 @@ def is_stable(beta: NovikovDegree, n: int) -> bool:
 def canonical_key(beta: NovikovDegree, insertions: Iterable) -> Key:
     """Sort insertions by basis index then psi power; correlators are
     symmetric in their arguments, so permuted inputs share one key."""
-    ins = tuple(sorted((int(a), int(k)) for a, k in insertions))
-    if any(k < 0 for _, k in ins):
-        raise InvalidKeyError("psi powers must be non-negative")
+    ins = tuple(sorted([(int(a), int(k)) for a, k in insertions]))
+    for _, k in ins:
+        if k < 0:
+            raise InvalidKeyError("psi powers must be non-negative")
     return (tuple(beta), ins)
 
 

@@ -137,14 +137,19 @@ class ScalarSeries:
         return ScalarSeries._from_clean(self.trunc, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other: "ScalarSeries") -> "ScalarSeries":
-        """Graded product; grades beyond the truncation are dropped exactly."""
+        """Graded product; grades beyond the truncation are dropped exactly,
+        before the pair's degree is formed: a term of self leaves room
+        (D - its Novikov total, E - its eps order) for the other factor."""
         if self.trunc != other.trunc:
             raise MismatchError("scalar series truncations differ")
+        D, E = self.trunc.novikov_order, self.trunc.epsilon_order
+        right = [(b2, beta_total(b2), e2, v2) for (b2, e2), v2 in other.terms.items()]
         out: dict[tuple[NovikovDegree, int], Fraction] = {}
         for (b1, e1), v1 in self.terms.items():
-            for (b2, e2), v2 in other.terms.items():
-                key = (beta_add(b1, b2), e1 + e2)
-                if self.trunc.admits_grade(*key):
+            room_beta, room_eps = D - beta_total(b1), E - e1
+            for b2, deg2, e2, v2 in right:
+                if deg2 <= room_beta and e2 <= room_eps:
+                    key = (beta_add(b1, b2), e1 + e2)
                     out[key] = out.get(key, Fraction(0)) + v1 * v2
         return ScalarSeries._from_clean(self.trunc, out)
 

@@ -10,7 +10,7 @@ operation in this module is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -103,6 +103,15 @@ class TargetSpace:
     @cached_property
     def pairing_inverse(self) -> tuple[CohVector, ...]:
         return _invert(self.pairing)
+
+    @cached_property
+    def _hash(self) -> int:
+        # The generated hash, computed once: targets key the engine and
+        # expansion caches, and their Fraction tables are dear to hash.
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def unit(self) -> CohVector:

@@ -22,7 +22,7 @@ from gwlab import (
     tangent_vector,
     universal_relation,
 )
-from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions
+from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions, _expansions_by_dim
 
 PT = make_target("point")
 P1 = make_target("P1")
@@ -386,3 +386,31 @@ def test_cone_in_tangent_point_zero_t():
 
     report = check_cone_in_tangent(TPolynomial.zero(PT, 0), default_truncation(PT, 0, 1, 0))
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# the hash of t, computed once
+
+
+def test_equal_t_hash_as_their_fields():
+    a, b = TPolynomial.random(P2, 1, seed=7), TPolynomial.random(P2, 1, seed=7)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.target, a.coeffs))
+
+
+def test_t_hash_reads_no_fraction_twice(monkeypatch):
+    t = TPolynomial.random(P2, 2, seed=11)
+    first = hash(t)
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or real(self))
+    assert hash(t) == first
+    assert calls == []
+
+
+def test_equal_t_hits_the_expansion_cache():
+    t = TPolynomial.random(P1, 2, seed=19)
+    groups = _expansions_by_dim(t, 2)
+    hits = _expansions_by_dim.cache_info().hits
+    assert _expansions_by_dim(TPolynomial.random(P1, 2, seed=19), 2) is groups
+    assert _expansions_by_dim.cache_info().hits == hits + 1

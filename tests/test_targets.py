@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
-from gwlab import ConfigurationError, load_target, make_target
+from gwlab import ConfigurationError, get_engine, load_target, make_target
 from gwlab.targets import beta_splits, iter_betas
 
 
@@ -118,3 +120,49 @@ def test_custom_target_rejects_singular_pairing():
     }
     with pytest.raises(ConfigurationError):
         load_target(data)
+
+
+# ---------------------------------------------------------------------------
+# the hash, computed once
+
+
+def _p1_data(pairing=((0, 1), (1, 0))):
+    """The built-in P1 presentation as config data, name included."""
+    return {
+        "name": "P1",
+        "dim": 1,
+        "basis_degrees": [0, 1],
+        "pairing": pairing,
+        "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        "class_rank": 1,
+        "c1_vector": [2],
+        "divisor_rows": [[1, [1]]],
+    }
+
+
+def test_equal_targets_hash_as_their_fields():
+    a, b = load_target(_p1_data()), load_target(_p1_data())
+    assert a == b and a is not b
+    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    assert hash(a) == hash(b) == hash(fields)
+
+
+def test_target_hash_reads_no_fraction_twice(monkeypatch):
+    target = load_target(_p1_data())
+    first = hash(target)
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or real(self))
+    assert hash(target) == first
+    assert calls == []
+    assert hash(load_target(_p1_data())) == first
+    assert calls
+
+
+def test_engine_shared_by_equal_presentations_only():
+    builtin = get_engine(make_target("P1"))
+    assert get_engine(load_target(_p1_data())) is builtin
+    # A different unit self-pairing still validates, but it is another ring.
+    other = load_target(_p1_data(pairing=((1, 1), (1, 0))))
+    assert other != make_target("P1")
+    assert get_engine(other) is not builtin
