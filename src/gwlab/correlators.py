@@ -12,7 +12,9 @@ rule that applies, in priority order, reduces it:
      insertion with no psi power (n >= 3);
   4. topological recursion on a psi power (n >= 3), splitting one psi
      factor against the two lexicographically first companion
-     insertions over a boundary sum;
+     insertions over a boundary sum, visiting only the kernel classes
+     whose degree fills each side's virtual dimension, so the zeros of
+     the others are never cached;
   5. primary backend, for n >= 2 insertions without psi powers: the
      two-point seed in degree one on the line, the plane-curve
      recursion on the plane;
@@ -146,11 +148,7 @@ class CorrelatorEngine:
                 raise InvalidKeyError(f"basis index {a} out of range for {t.name} (rank {rank})")
 
     def correlator_with_kernel(
-        self,
-        beta: NovikovDegree,
-        fixed: Iterable,
-        kernel_alpha: int,
-        sign: int,
+        self, beta: NovikovDegree, fixed: Iterable, kernel_alpha: int, sign: int
     ) -> dict[int, Fraction]:
         """Expansion of one insertion gamma/(sign*z - psi) over z-exponents.
 
@@ -164,11 +162,13 @@ class CorrelatorEngine:
         self._check_key(beta, fixed + ((kernel_alpha, 0),))
         m = len(fixed) + 1
         if not is_stable(beta, m):
-            raise StabilityError(
-                f"kernel correlator unstable: beta={beta}, {m} insertions"
-            )
+            raise StabilityError(f"kernel correlator unstable: beta={beta}, {m} insertions")
+        return self._kernel(beta, fixed, kernel_alpha, sign)
+
+    def _kernel(self, beta: NovikovDegree, fixed: tuple, kernel_alpha: int, sign: int) -> dict[int, Fraction]:
+        """``correlator_with_kernel`` on a checked key."""
         used = sum(self.target.degree(a) + k for a, k in fixed)
-        l = vdim(self.target, beta, m) - used - self.target.degree(kernel_alpha)
+        l = vdim(self.target, beta, len(fixed) + 1) - used - self.target.degree(kernel_alpha)
         if l < 0:
             return {}
         ins = tuple(sorted(fixed + ((kernel_alpha, l),)))
@@ -194,14 +194,17 @@ class CorrelatorEngine:
         key = (beta, kernel_alpha, fixed, sign)
         block = self._blocks.get(key)
         if block is None:
+            # Canonical once for the unchecked calls; only gamma = 0 is checked,
+            # as the other kernel correlators differ from it in gamma alone.
+            beta, fixed = canonical_key(beta, fixed)
             rank = self.target.rank
             block = {}
             for gamma in range(rank):
+                kernel_of = self._kernel if gamma else self.correlator_with_kernel
                 if kernel_alpha is None:
-                    kernel = self.correlator_with_kernel(beta, fixed, gamma, sign)
+                    kernel = kernel_of(beta, fixed, gamma, sign)
                 else:
-                    ext = fixed + ((gamma, 0),)
-                    kernel = self.correlator_with_kernel(beta, ext, kernel_alpha, sign)
+                    kernel = kernel_of(beta, fixed + ((gamma, 0),), kernel_alpha, sign)
                 for z_exp, val in kernel.items():
                     vec = self.target.dual_basis_vector(gamma)
                     acc = block.setdefault(z_exp, [Fraction(0)] * rank)
@@ -339,27 +342,40 @@ class CorrelatorEngine:
         One psi factor is traded for the boundary sum over splittings of
         the degree and of the spare insertions, with the carrier on one
         side and the two companion insertions on the other, joined by
-        the diagonal class sum_mu phi_mu x phi^mu.
+        the diagonal class sum_mu phi_mu x phi^mu.  It visits only the
+        kernel classes whose degree fills each side's virtual dimension,
+        phi_mu of the degree ``need`` left on the carrier side and phi_nu
+        of degree dim - need; the rest are zero by the dimension filter
+        and are not cached.
         """
         t = self.target
         a_c, k_c = ins[carrier_pos]
         rest = ins[:carrier_pos] + ins[carrier_pos + 1:]
         comp_ins, spare_ins = rest[:2], rest[2:]
-        pinv = t.pairing_inverse
+        pinv, by_degree = t.pairing_inverse, t.basis_by_degree
+        # ``need`` per split of the spare insertions: the carrier side's vdim less the
+        # degrees and psi powers of left_base, but for the c1(b0) each degree split adds.
+        splits = []
+        for mask in range(1 << len(spare_ins)):
+            side0 = tuple(x for i, x in enumerate(spare_ins) if mask >> i & 1)
+            spare = sum(1 - t.degree(a) - k for a, k in side0)
+            splits.append((mask, side0, t.dim - t.degree(a_c) - k_c + spare))
         total = Fraction(0)
         for b0, b1 in beta_splits(beta):
-            for mask in range(1 << len(spare_ins)):
-                side0 = tuple(x for i, x in enumerate(spare_ins) if mask >> i & 1)
-                if not any(b0) and not side0:
-                    continue  # zero-degree side needs a third special point
+            c1 = t.c1_pairing(b0)
+            for mask, side0, need in splits:
+                need += c1
+                mus = by_degree.get(need)
+                if not mus or (not any(b0) and not side0):
+                    continue  # no class fills the carrier side, or a zero-degree side lacks a third point
                 side1 = tuple(x for i, x in enumerate(spare_ins) if not (mask >> i & 1))
                 left_base = tuple(sorted(side0 + ((a_c, k_c - 1),)))
                 right_base = tuple(sorted(side1 + comp_ins))
-                for mu in range(t.rank):
+                for mu in mus:
                     left = self._eval(beta=b0, ins=tuple(sorted(left_base + ((mu, 0),))))
                     if not left:
                         continue
-                    for nu in range(t.rank):
+                    for nu in by_degree.get(t.dim - need, ()):
                         w = pinv[mu][nu]
                         if not w:
                             continue

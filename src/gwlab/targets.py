@@ -105,6 +105,11 @@ class TargetSpace:
         return _invert(self.pairing)
 
     @cached_property
+    def basis_by_degree(self) -> dict[int, tuple[int, ...]]:
+        """The basis indices of each degree, in index order."""
+        return {d: tuple(a for a, e in enumerate(self.basis_degrees) if e == d) for d in set(self.basis_degrees)}
+
+    @cached_property
     def _hash(self) -> int:
         # The generated hash, computed once: targets key the engine and
         # expansion caches, and their Fraction tables are dear to hash.
