@@ -53,10 +53,6 @@ _SUITE_RUNNERS = {
 }
 SUITES = tuple(_SUITE_RUNNERS)
 
-# Former names of two suites, still called by tests/test_report_reference.py.
-_engine_oracle_report = check_engine_oracles
-_localisation_report = check_localisation
-
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CONFIG = 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -339,7 +339,11 @@ def tangent_vector(
                                                phi_gamma/(-z - psi)> phi^gamma.
     """
     if k > trunc.z_max - 1:
-        raise TruncationOverflowError(k + 1, trunc.z_min, trunc.z_max)
+        # Refused before it is built; the rerun hint also holds the vector's terms.
+        depth = kernel_depth_bound(t.target, trunc.novikov_order, trunc.epsilon_order)
+        room = replace(trunc, z_min=min(trunc.z_min, -1 - depth), z_max=k + 1)
+        span = [z for z, _, _, _ in tangent_vector(t, alpha, k, room, engine).terms]
+        raise TruncationOverflowError(k + 1, trunc.z_min, trunc.z_max, *span)
     r = LoopSeries.basis(t.target, trunc, alpha, k)
     return s_adjoint_corr_apply(t, r, -1, trunc, engine)
 

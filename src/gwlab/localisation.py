@@ -84,12 +84,6 @@ def enumerate_splittings(target: TargetSpace, beta: NovikovDegree, n: int) -> li
     return records
 
 
-# A zero-end piece is a plain accumulator: it is never built into a series,
-# so its z-exponents meet the window only after the infinity end has flowed
-# them.  The name stays for tests/test_cone_grade_reference.py, which imports it.
-_ZeroEnd = SeriesAccumulator
-
-
 def contribution(
     rec: SplittingRecord,
     t: TPolynomial,

@@ -19,7 +19,7 @@ from functools import partial
 from .cone import TPolynomial, s_adjoint_corr_apply, s_apply
 from .correlators import CorrelatorEngine
 from .series import LoopSeries, MismatchError, SeriesAccumulator, Truncation
-from .targets import TargetSpace, beta_add, beta_total, beta_zero
+from .targets import TargetSpace, beta_add, beta_total
 
 EntryKey = tuple[int, int, int, tuple, int]  # (z, row, col, beta, eps)
 
@@ -35,17 +35,9 @@ class EndoSeries:
 
     def is_identity(self) -> tuple[bool, list[EntryKey]]:
         """Exact identity at every retained grade; offenders listed."""
-        b0 = beta_zero(self.target.class_rank)
-        bad = []
-        for key, val in self.entries.items():
-            z, row, col, beta, eps = key
-            expected = Fraction(1) if (z, beta, eps) == (0, b0, 0) and row == col else Fraction(0)
-            if val != expected:
-                bad.append(key)
-        for row in range(self.target.rank):
-            if self.entries.get((0, row, row, b0, 0), Fraction(0)) != 1:
-                bad.append((0, row, row, b0, 0))
-        return (not bad, sorted(set(bad)))
+        one = identity_endo(self.target, self.trunc).entries
+        bad = sorted(k for k in self.entries.keys() | one if self.entries.get(k, 0) != one.get(k, 0))
+        return (not bad, bad)
 
     def apply_linear(self, f: LoopSeries, out_trunc: Truncation) -> LoopSeries:
         """Matrix action extended z-linearly: entries convolve with the z

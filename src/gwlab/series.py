@@ -35,13 +35,13 @@ class MismatchError(ValueError):
 class TruncationOverflowError(ValueError):
     """A produced z-exponent falls outside the configured window."""
 
-    def __init__(self, z_exp: int, z_min: int, z_max: int):
+    def __init__(self, z_exp: int, z_min: int, z_max: int, *span: int):
         self.z_exp = z_exp
         self.z_min = z_min
         self.z_max = z_max
         super().__init__(
             f"z^{z_exp} escapes the window [{z_min}, {z_max}]; "
-            f"rerun with z_min <= {min(z_exp, z_min)} and z_max >= {max(z_exp, z_max)}"
+            f"rerun with z_min <= {min(z_exp, z_min, *span)} and z_max >= {max(z_exp, z_max, *span)}"
         )
 
 
@@ -63,9 +63,11 @@ class Truncation:
     def admits_grade(self, beta: NovikovDegree, eps: int) -> bool:
         return beta_total(beta) <= self.novikov_order and eps <= self.epsilon_order
 
-    def check_window(self, z_exp: int) -> None:
+    def check_window(self, z_exp: int, terms: dict | None = None) -> None:
+        """Raises for z_exp outside the window; the rerun hint holds every nonzero term of ``terms``."""
         if z_exp < self.z_min or z_exp > self.z_max:
-            raise TruncationOverflowError(z_exp, self.z_min, self.z_max)
+            span = (key[0] for key, val in (terms or {}).items() if Fraction(val))
+            raise TruncationOverflowError(z_exp, self.z_min, self.z_max, *span)
 
 
 def fraction_record(val: Fraction) -> dict:
@@ -171,7 +173,7 @@ class LoopSeries:
             v = Fraction(val)
             if not v:
                 continue
-            trunc.check_window(z)
+            trunc.check_window(z, terms)
             if not trunc.admits_grade(beta, eps):
                 raise MismatchError(
                     f"term at novikov {beta}, eps {eps} exceeds truncation "

@@ -110,6 +110,11 @@ class TargetSpace:
         return {d: tuple(a for a, e in enumerate(self.basis_degrees) if e == d) for d in set(self.basis_degrees)}
 
     @cached_property
+    def cup_terms(self) -> tuple:
+        """cup_terms[i][j]: the (k, c) with c != 0 in phi_i cup phi_j = sum_k c phi_k."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in self.cup_tensor)
+
+    @cached_property
     def _hash(self) -> int:
         # The generated hash, computed once: targets key the engine and
         # expansion caches, and their Fraction tables are dear to hash.
@@ -121,9 +126,6 @@ class TargetSpace:
     @property
     def unit(self) -> CohVector:
         return self.basis_vector(0)
-
-    def zero_vector(self) -> CohVector:
-        return (Fraction(0),) * self.rank
 
     def basis_vector(self, alpha: int) -> CohVector:
         return tuple(Fraction(i == alpha) for i in range(self.rank))

@@ -132,6 +132,19 @@ def test_unstable_keys_raise():
         correlator(P1, (1,), [])
 
 
+@pytest.mark.parametrize("name,forced,asked,message", [
+    ("P1", ((1,), [(1, 0)]), ((1,), []), "without insertions"),
+    ("P2", ((0,), [(1, 0), (0, 0)]), ((0,), [(0, 0)]), "unstable correlator"),
+])
+def test_unstable_keys_raise_after_a_reduction_caches_them(name, forced, asked, message):
+    # The divisor step caches the key with the divisor removed.
+    engine = CorrelatorEngine(make_target(name))
+    engine.reduce_divisor_first(*forced)
+    assert correlators.canonical_key(*asked) in engine._values
+    with pytest.raises(StabilityError, match=message):
+        engine.correlator(*asked)
+
+
 # ---------------------------------------------------------------------------
 # engine values
 
@@ -525,3 +538,24 @@ def test_reduction_deeper_than_the_recursion_limit_is_named(method, args):
     assert issubclass(ReductionDepthError, CapabilityError)
     assert not engine._active
     assert engine.correlator((1,), [(1, 0), (1, 0)]) == 1
+
+
+def test_degree_99_reduces_within_the_default_recursion_limit():
+    """The deepest three-point P1 key that fits gives the value a deeper
+    limit gives, so no reduction step spends a frame of its own (the
+    string step is an alias of the corrections, not a wrapper).
+    Hypothesis raises the limit inside tests, hence the subprocess."""
+    code = (
+        "import sys\n"
+        "from gwlab import CorrelatorEngine, make_target\n"
+        "key = ((99,), [(0, 197), (1, 0), (1, 0)])\n"
+        "value = CorrelatorEngine(make_target('P1')).correlator(*key)\n"
+        "sys.setrecursionlimit(4000)\n"
+        "print(value == CorrelatorEngine(make_target('P1')).correlator(*key))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"

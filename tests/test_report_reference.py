@@ -474,13 +474,13 @@ def _reference_reports(t, trunc, engine, seed):
 def _new_reports(t, trunc, engine, seed):
     return [
         checks.check_darboux(t.target, k_max=6),
-        cli._engine_oracle_report(seed),
+        cli.check_engine_oracles(seed),
         checks.check_polynomiality(t, trunc, engine, seed=seed),
         checks.check_inverse(t, trunc, engine, seed=seed),
         checks.check_universal_relations(t, 4, trunc, engine, seed=seed),
         checks.check_lagrangian(t, trunc, engine, j_max=1, seed=seed),
         checks.check_cone_in_tangent(t, trunc, engine, seed=seed),
-        cli._localisation_report(t, trunc, engine, seed),
+        cli.check_localisation(t, trunc, engine, seed),
     ]
 
 
