@@ -32,7 +32,7 @@ from .checks import (
 from .cone import TPolynomial, cone_point, s_apply, sufficient_window, tangent_vector
 from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
 from .localisation import check_localisation, localisation_sum
-from .series import Truncation, TruncationOverflowError
+from .series import MismatchError, Truncation, TruncationOverflowError
 from .targets import ConfigurationError, load_target, make_target
 
 _Run = namedtuple("_Run", "t trunc engine seed k_max")
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, TruncationOverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StabilityError, CapabilityError) as exc:
+    except (StabilityError, CapabilityError, MismatchError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CHECK_FAILED
 

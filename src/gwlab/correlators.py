@@ -13,9 +13,9 @@ rule that applies, in priority order, reduces it:
      insertion with no psi power (n >= 3);
   4. topological recursion on a psi power (n >= 3), splitting one psi
      factor against the two lexicographically first companion
-     insertions over a boundary sum, visiting only the kernel classes
-     whose degree fills each side's virtual dimension, so the zeros of
-     the others are never cached;
+     insertions over a boundary sum, visiting only the degree splits
+     and kernel classes that can fill each side's virtual dimension, so
+     the zeros of the others are never cached;
   5. primary backend, for n >= 2 insertions without psi powers: the
      two-point seed in degree one on the line, the plane-curve
      recursion on the plane;
@@ -338,10 +338,11 @@ class CorrelatorEngine:
         the degree and of the spare insertions, with the carrier on one
         side and the two companion insertions on the other, joined by
         the diagonal class sum_mu phi_mu x phi^mu.  It visits only the
-        kernel classes whose degree fills each side's virtual dimension,
-        phi_mu of the degree ``need`` left on the carrier side and phi_nu
-        of degree dim - need; the rest are zero by the dimension filter
-        and are not cached.
+        degree splits and kernel classes that can fill each side's virtual
+        dimension: in ``beta_splits`` order, the splits whose c1(b0) lifts
+        the carrier side's ``need`` to a basis degree, and phi_mu of degree
+        need and phi_nu of degree dim - need; the rest are zero by the
+        dimension filter and are not cached.
         """
         t = self.target
         a_c, k_c = ins[carrier_pos]
@@ -350,15 +351,16 @@ class CorrelatorEngine:
         pinv, by_degree = t.pairing_inverse, t.basis_by_degree
         # ``need`` per split of the spare insertions: the carrier side's vdim less the
         # degrees and psi powers of left_base, but for the c1(b0) each degree split adds.
-        splits = []
+        masks = []
         for mask in range(1 << len(spare_ins)):
             side0 = tuple(x for i, x in enumerate(spare_ins) if mask >> i & 1)
             spare = sum(1 - t.degree(a) - k for a, k in side0)
-            splits.append((mask, side0, t.dim - t.degree(a_c) - k_c + spare))
+            masks.append((mask, side0, t.dim - t.degree(a_c) - k_c + spare))
+        by_c1 = _splits_by_c1(t.c1_vector, beta)
+        fitting = {deg - need for _, _, need in masks for deg in by_degree}
         total = Fraction(0)
-        for b0, b1 in beta_splits(beta):
-            c1 = t.c1_pairing(b0)
-            for mask, side0, need in splits:
+        for _, b0, b1, c1 in sorted(s for c in fitting for s in by_c1.get(c, ())):
+            for mask, side0, need in masks:
                 need += c1
                 mus = by_degree.get(need)
                 if not mus or (not any(b0) and not side0):
@@ -436,6 +438,16 @@ class CorrelatorEngine:
 
 def _sorted_replace(ins: tuple, j: int, new: tuple) -> tuple:
     return tuple(sorted(ins[:j] + (new,) + ins[j + 1:]))
+
+
+@lru_cache(maxsize=256)  # one table for every engine, bounded as a long-lived process meets ever more degrees
+def _splits_by_c1(c1_vector: tuple[int, ...], beta: NovikovDegree) -> dict[int, list]:
+    """The splits beta = b0 + b1 as (index in ``beta_splits`` order, b0, b1, c1(b0)), grouped by c1(b0)."""
+    by_c1: dict[int, list] = {}
+    for i, (b0, b1) in enumerate(beta_splits(beta)):
+        c1 = sum(c * d for c, d in zip(c1_vector, b0))
+        by_c1.setdefault(c1, []).append((i, b0, b1, c1))
+    return by_c1
 
 
 _ENGINE_CACHE_SIZE = 8

@@ -30,10 +30,10 @@ from math import factorial
 
 from . import oracles
 from .checks import CheckReport, _report, _timed
-from .cone import TPolynomial, _cone_grade, _kernel_sum, cone_point, s_apply
+from .cone import TPolynomial, _cone_grade, _kernel_sum, cone_point, dilaton_shift, s_apply
 from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
-from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, iter_betas
+from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, beta_zero, iter_betas
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,34 @@ def check_main_identity(
     point, exactly at every retained (z, basis, novikov, eps) grade."""
     left = localisation_sum(t, trunc, engine)
     right = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
+    failures = _mismatches(left.terms, right.terms, "fixed_locus_sum", "cone_transform")
+    return _report("localisation", t, trunc, failures, seed)
+
+
+def _mismatches(left: dict, right: dict, left_name: str, right_name: str) -> list[dict]:
+    """A coefficient record of each (z, basis, novikov, eps) grade where two term maps differ."""
     failures = []
-    for key in sorted(set(left.terms) | set(right.terms)):
-        lv = left.terms.get(key, Fraction(0))
-        rv = right.terms.get(key, Fraction(0))
+    for key in sorted(set(left) | set(right)):
+        lv, rv = left.get(key, Fraction(0)), right.get(key, Fraction(0))
         if lv != rv:
             z, a, b, e = key
-            failures.append(
-                coefficient_record(
-                    b, e, z_exp=z, basis=a,
-                    fixed_locus_sum=fraction_record(lv), cone_transform=fraction_record(rv),
-                )
-            )
-    return _report("localisation", t, trunc, failures, seed)
+            labels = {left_name: fraction_record(lv), right_name: fraction_record(rv)}
+            failures.append(coefficient_record(b, e, z_exp=z, basis=a, **labels))
+    return failures
 
 
 @_timed
 def check_localisation(t: TPolynomial, trunc: Truncation, engine=None, seed=None) -> CheckReport:
-    """``check_main_identity`` plus the records of every retained (beta, n)
-    against ``oracles.brute_force_splittings``: shapes, duplicates, weights."""
+    """``check_main_identity``, the cone point's degree-zero pieces against t - z*1, and the
+    records of every retained (beta, n) against ``oracles.brute_force_splittings``."""
     report = check_main_identity(t, trunc, engine, seed=seed)
     target = t.target
+    # Both sides of the identity share these pieces; t - z*1 is read here from t's coefficients.
+    b0 = beta_zero(target.class_rank)
+    shifted = {(1, 0, b0, 0): Fraction(-1)}
+    if trunc.epsilon_order:
+        shifted.update(((k, a, b0, 1), c) for k, vec in enumerate(t.coeffs) for a, c in enumerate(vec) if c)
+    report.failures += _mismatches(dilaton_shift(t, trunc).terms, shifted, "cone_point", "t_minus_z")
     for beta in iter_betas(target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):
             records = enumerate_splittings(target, beta, n)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gwlab import checks
 from gwlab.cli import main, parse_correlator_query
-from gwlab.series import LoopSeries
+from gwlab.series import LoopSeries, MismatchError
 from gwlab.targets import make_target
 
 
@@ -251,6 +251,15 @@ def test_correlator_stability_error_surfaced(capsys):
     code, _, err = run(capsys, "correlator", "--target", "point", "d=(); (0,0) (0,0)")
     assert code == 1
     assert "unstable" in err
+
+
+def test_mismatch_error_is_an_evaluation_error(capsys, monkeypatch):
+    def mismatched(*args, **kwargs):
+        raise MismatchError("series truncations differ")
+
+    monkeypatch.setattr("gwlab.cli.check_darboux", mismatched)
+    code, out, err = run(capsys, "verify", "--target", "point", "--suites", "darboux")
+    assert (code, out, err) == (1, "", "series truncations differ\n")
 
 
 def test_query_parser_repetition():

@@ -130,7 +130,7 @@ FAULTS = {
     ),
     "cone-grade-piece": (
         [(module, "_cone_grade", _dilaton_doubled) for module in (cone, localisation)],
-        {"polynomiality", "tangent"},
+        {"polynomiality", "tangent", "localisation"},
     ),
     "matrix-product": (
         [(EndoSeries, "apply_linear", lambda real: lambda self, *a: real(self, *a).scale(2))],

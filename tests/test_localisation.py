@@ -1,8 +1,11 @@
+import json
 import time
 from fractions import Fraction
 from math import factorial
 
-from gwlab import cli, localisation, oracles
+import pytest
+
+from gwlab import cli, cone, localisation, oracles
 from gwlab import (
     LoopSeries,
     TPolynomial,
@@ -176,3 +179,69 @@ def test_localisation_suite_times_its_record_checks(monkeypatch):
     naps.append(0.05)
     run = cli._Run(t, tr, get_engine(P1), 7, 4)
     assert cli._SUITE_RUNNERS["localisation"](run).elapsed >= 0.05
+
+
+def _dilaton_doubled(real):
+    def wrapper(acc, t, beta, n, engine):
+        real(acc, t, beta, n, engine)
+        if not any(beta) and n == 0:
+            real(acc, t, beta, n, engine)
+    return wrapper
+
+
+def _t_piece_negated(real):
+    def wrapper(acc, t, beta, n, engine):
+        if not any(beta) and n == 1:
+            t = TPolynomial(t.target, tuple(tuple(-c for c in vec) for vec in t.coeffs))
+        real(acc, t, beta, n, engine)
+    return wrapper
+
+
+def _localisation_failures(capsys, *flags):
+    code = cli.main(["verify", "--suites", "localisation", "--format", "json", *flags])
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert code == (0 if check["passed"] else 1)
+    return check["failures"]
+
+
+def _piece_failures(failures):
+    return [f for f in failures if "cone_point" in f]  # the records of the degree-zero pieces
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--target", "point", "--E", "0", "--t", "zero"),
+        ("--target", "point", "--E", "2", "--t", "zero", "--T", "2"),
+        ("--target", "P1", "--E", "0", "--seed", "7"),
+        ("--target", "P2", "--D", "1", "--E", "1", "--seed", "7"),
+    ],
+)
+def test_degree_zero_pieces_meet_t_minus_z(capsys, monkeypatch, flags):
+    """Both sides of the main identity share the cone point's degree-zero
+    pieces, so a fault in them can cancel there (it does at P2 D2 E3 T1);
+    the suite still sees -z*1 doubled, at E = 0 and on the point (class
+    rank 0) too.  Sound input passes, for t zero and at E = 0 alike."""
+    assert _localisation_failures(capsys, *flags) == []
+    rank = make_target(flags[1]).class_rank
+    with monkeypatch.context() as patch:
+        for module in (cone, localisation):
+            patch.setattr(module, "_cone_grade", _dilaton_doubled(cone._cone_grade))
+        failures = _localisation_failures(capsys, *flags)
+    assert _piece_failures(failures) == [
+        {
+            "z_exp": 1, "basis": 0, "cone_point": {"num": -2, "den": 1}, "t_minus_z": {"num": -1, "den": 1},
+            "novikov": [0] * rank, "eps": 0,
+        }
+    ]
+
+
+def test_t_piece_meets_t_coefficients(capsys, monkeypatch):
+    flags = ("--target", "P2", "--D", "1", "--E", "1", "--T", "1", "--seed", "7")
+    with monkeypatch.context() as patch:
+        for module in (cone, localisation):
+            patch.setattr(module, "_cone_grade", _t_piece_negated(cone._cone_grade))
+        failures = _piece_failures(_localisation_failures(capsys, *flags))
+    t = TPolynomial.random(P2, 1, 7)
+    assert [(f["z_exp"], f["basis"], f["eps"]) for f in failures] == [(k, a, 1) for k, a, _ in t.monomials()]
+    assert all(f["cone_point"]["num"] == -f["t_minus_z"]["num"] for f in failures)
