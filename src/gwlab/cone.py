@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 from .correlators import CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
 from .series import (
@@ -189,18 +189,25 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     z_out + z_k in grade (beta_o + beta, eps_o + n).  Grades add, so a
     kernel grade meets only the terms whose own grade leaves room for it
     within the truncation; a grade that meets none builds no block.
+
+    The products are summed exactly on integer numerators, per output
+    key, and each key whose sum is nonzero is added to acc once, in the
+    order of its first product: the order in which adding every product
+    to acc would have inserted the surviving keys.
     """
     D, E = acc.trunc.novikov_order, acc.trunc.epsilon_order
     graded = [
-        (key, [(z, b, beta_total(b), e, c) for z, b, e, c in terms]) for key, terms in operand
+        (key, [(z, b, beta_total(b), e, c.numerator, c.denominator) for z, b, e, c in terms if c])
+        for key, terms in operand
     ]
+    sums: dict[tuple, list[int]] = {}
     for beta, n in grades:
         room_beta, room_eps = D - beta_total(beta), E - n
         fitting = []
         for key, terms in graded:
             fits = [
-                (z, beta_add(b, beta), e + n, c)
-                for z, b, deg, e, c in terms
+                (z, beta_add(b, beta), e + n, cn, cd)
+                for z, b, deg, e, cn, cd in terms
                 if deg <= room_beta and e <= room_eps
             ]
             if fits:
@@ -208,16 +215,30 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
         if not fitting:
             continue
         for weight, monos in _expansions(t, n):
+            wn, wd = weight.numerator, weight.denominator
             for key, fits in fitting:
                 kernel = block(beta, key, monos)
                 if not kernel:
                     continue
-                scaled = [(z, b, e, c * weight) for z, b, e, c in fits]
+                scaled = [(z, b, e, cn * wn, cd * wd) for z, b, e, cn, cd in fits]
                 for z_k, vec in kernel.items():
-                    comps = [(rho, comp) for rho, comp in enumerate(vec) if comp]
-                    for z, b, e, cw in scaled:
-                        for rho, comp in comps:
-                            acc.add(z + z_k, rho, b, e, cw * comp)
+                    comps = [(rho, comp.numerator, comp.denominator) for rho, comp in enumerate(vec) if comp]
+                    for z, b, e, p, q in scaled:
+                        for rho, cp, cq in comps:
+                            out = (z + z_k, rho, b, e)
+                            num, den = p * cp, q * cq
+                            pair = sums.get(out)
+                            if pair is None:
+                                sums[out] = [num, den]
+                            elif pair[1] == den:
+                                pair[0] += num
+                            else:
+                                g = gcd(pair[1], den)
+                                pair[0] = pair[0] * (den // g) + num * (pair[1] // g)
+                                pair[1] *= den // g
+    for (z, rho, b, e), (num, den) in sums.items():
+        if num:
+            acc.add(z, rho, b, e, Fraction(num, den))
 
 
 def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> ScalarSeries:

@@ -6,7 +6,8 @@ fail is pinned.  A fault that both sides of an identity share cancels
 there, so a check can go blind without any other test noticing; here it
 shows as a pinned suite that no longer fails.  The localisation suite
 shares every block, expansion and kernel sum with its right-hand side,
-so only faults in the records themselves reach it.
+so only faults in the records themselves, or in the degree-zero pieces
+that it also compares with t - z*1, reach it.
 """
 
 import json
