@@ -175,6 +175,9 @@ def _resolve_t(cfg, target) -> TPolynomial:
                 f"each ; group of --t needs {target.rank} comma-separated rationals"
             )
         coeffs.append(tuple(_parse_rational(p) for p in parts))
+    if len(coeffs) != cfg["T"] + 1:
+        # The window is sized for T, so t must have degree T: one ; group per power of z.
+        raise UsageError(f"--t has {len(coeffs)} ; groups, but T = {cfg['T']} needs {cfg['T'] + 1}")
     return TPolynomial(target, tuple(coeffs))
 
 

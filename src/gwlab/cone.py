@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial
 
 from .correlators import CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
 from .series import (
@@ -27,6 +27,7 @@ from .series import (
     SeriesAccumulator,
     Truncation,
     TruncationOverflowError,
+    merge,
 )
 from .targets import CohVector, TargetSpace, beta_add, beta_total, beta_zero, iter_betas
 
@@ -190,10 +191,11 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     kernel grade meets only the terms whose own grade leaves room for it
     within the truncation; a grade that meets none builds no block.
 
-    The products are summed exactly on integer numerators, per output
-    key, and each key whose sum is nonzero is added to acc once, in the
-    order of its first product: the order in which adding every product
-    to acc would have inserted the surviving keys.
+    The products are summed on integer numerators by ``series.merge``,
+    per output key, into a sum of this call's own; then each key whose
+    sum is nonzero is merged into acc once, in the order of its first
+    product: the order in which adding every product to acc would have
+    inserted the surviving keys.  No ``Fraction`` is formed here.
     """
     D, E = acc.trunc.novikov_order, acc.trunc.epsilon_order
     graded = [
@@ -225,20 +227,10 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
                     comps = [(rho, comp.numerator, comp.denominator) for rho, comp in enumerate(vec) if comp]
                     for z, b, e, p, q in scaled:
                         for rho, cp, cq in comps:
-                            out = (z + z_k, rho, b, e)
-                            num, den = p * cp, q * cq
-                            pair = sums.get(out)
-                            if pair is None:
-                                sums[out] = [num, den]
-                            elif pair[1] == den:
-                                pair[0] += num
-                            else:
-                                g = gcd(pair[1], den)
-                                pair[0] = pair[0] * (den // g) + num * (pair[1] // g)
-                                pair[1] *= den // g
-    for (z, rho, b, e), (num, den) in sums.items():
+                            merge(sums, (z + z_k, rho, b, e), p * cp, q * cq)
+    for key, (num, den) in sums.items():
         if num:
-            acc.add(z, rho, b, e, Fraction(num, den))
+            acc.merge(key, num, den)
 
 
 def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> ScalarSeries:

@@ -47,6 +47,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable
 
+from .series import merge
 from .targets import (
     CohVector,
     NovikovDegree,
@@ -75,6 +76,8 @@ class InvalidKeyError(ValueError):
 
 
 Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
+
+_ZERO = Fraction(0)
 
 
 def vdim(target: TargetSpace, beta: NovikovDegree, n: int) -> int:
@@ -163,21 +166,23 @@ class CorrelatorEngine:
         m = len(fixed) + 1
         if not is_stable(beta, m):
             raise StabilityError(f"kernel correlator unstable: beta={beta}, {m} insertions")
-        return self._kernel(beta, fixed, kernel_alpha, sign)
+        l = self._room(beta, fixed) - self.target.degree(kernel_alpha)
+        val = self._kernel(beta, fixed + ((kernel_alpha, l),), l, sign) if l >= 0 else 0
+        return {-1 - l: val} if val else {}
 
-    def _kernel(self, beta: NovikovDegree, fixed: tuple, kernel_alpha: int, sign: int) -> dict[int, Fraction]:
-        """``correlator_with_kernel`` on a checked key."""
-        used = sum(self.target.degree(a) + k for a, k in fixed)
-        l = vdim(self.target, beta, len(fixed) + 1) - used - self.target.degree(kernel_alpha)
-        if l < 0:
-            return {}
-        ins = tuple(sorted(fixed + ((kernel_alpha, l),)))
+    def _room(self, beta: NovikovDegree, slots: tuple) -> int:
+        """The kernel dimension filter: a kernel class of degree d beside
+        ``slots`` fills the virtual dimension at psi depth room - d, and is
+        zero if that is negative."""
+        t = self.target
+        return vdim(t, beta, len(slots) + 1) - sum(t.degree(a) + k for a, k in slots)
+
+    def _kernel(self, beta: NovikovDegree, ins: tuple, l: int, sign: int) -> Fraction:
+        """The z^{-1-l} coefficient of a kernel correlator on checked
+        insertions ``ins``, whose kernel slot carries psi^l."""
+        ins = tuple(sorted(ins))
         val = self._guarded((beta, ins), self._eval, beta, ins)
-        if not val:
-            return {}
-        if sign < 0 and l % 2 == 0:
-            val = -val
-        return {-1 - l: val}
+        return -val if sign < 0 and l % 2 == 0 else val
 
     def fibre_block(self, beta: NovikovDegree, fixed: tuple, sign: int) -> dict[int, CohVector]:
         """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma per z-exponent."""
@@ -188,31 +193,49 @@ class CorrelatorEngine:
         return self._block(beta, kernel_alpha, tuple(sorted(fixed)), +1)
 
     def _block(self, beta, kernel_alpha, fixed, sign) -> dict[int, CohVector]:
-        """The kernel sits on phi_gamma when ``kernel_alpha`` is None (a
-        fibre block), else on phi_a with phi_gamma a plain slot (a flow
-        block)."""
+        """A kernel block, built on a miss in one pass over the basis.
+
+        The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
+        block), else on phi_a with phi_gamma a plain slot (a flow block).
+        The key is canonicalised once for the unchecked calls and checked
+        once, by the gamma = 0 call of ``correlator_with_kernel``: the other
+        kernel correlators differ from it in gamma alone.  The ``_room`` the
+        slots beside phi_gamma leave is worked out once, and only the gamma
+        that fit it are reduced.  Each value is merged on integer pairs
+        along the sparse ``dual_terms`` of phi^gamma; these are independent,
+        so no z-exponent a value reaches sums to the zero vector.
+        """
         key = (beta, kernel_alpha, fixed, sign)
         block = self._blocks.get(key)
-        if block is None:
-            # Canonical once for the unchecked calls; only gamma = 0 is checked,
-            # as the other kernel correlators differ from it in gamma alone.
-            beta, fixed = canonical_key(beta, fixed)
-            rank = self.target.rank
-            block = {}
-            for gamma in range(rank):
-                kernel_of = self._kernel if gamma else self.correlator_with_kernel
-                if kernel_alpha is None:
-                    kernel = kernel_of(beta, fixed, gamma, sign)
-                else:
-                    kernel = kernel_of(beta, fixed + ((gamma, 0),), kernel_alpha, sign)
-                for z_exp, val in kernel.items():
-                    vec = self.target.dual_basis_vector(gamma)
-                    acc = block.setdefault(z_exp, [Fraction(0)] * rank)
-                    for rho, comp in enumerate(vec):
-                        if comp:
-                            acc[rho] += val * comp
-            block = {z: tuple(v) for z, v in block.items() if any(v)}
-            self._blocks[key] = block
+        if block is not None:
+            return block
+        beta, fixed = canonical_key(beta, fixed)
+        t = self.target
+        if kernel_alpha is None:
+            first = self.correlator_with_kernel(beta, fixed, 0, sign)
+            room = self._room(beta, fixed)
+        else:
+            first = self.correlator_with_kernel(beta, fixed + ((0, 0),), kernel_alpha, sign)
+            room = self._room(beta, fixed + ((kernel_alpha, 0),))
+        sums: dict[int, dict] = {}
+        for gamma, dual in enumerate(t.dual_terms):
+            if gamma:
+                l = room - t.degree(gamma)
+                if l < 0:
+                    continue
+                slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
+                val = self._kernel(beta, fixed + slots, l, sign)
+                kernel = ((-1 - l, val),) if val else ()
+            else:
+                kernel = first.items()
+            for z_exp, val in kernel:
+                vec = sums.setdefault(z_exp, {})
+                for rho, (cn, cd) in dual:
+                    merge(vec, rho, val.numerator * cn, val.denominator * cd)
+        block = {
+            z: tuple(Fraction(*vec[rho]) if rho in vec else _ZERO for rho in range(t.rank)) for z, vec in sums.items()
+        }
+        self._blocks[key] = block
         return block
 
     # ------------------------------------------------------------------

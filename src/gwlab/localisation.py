@@ -111,8 +111,8 @@ def contribution(
     zero = SeriesAccumulator(t.target, trunc) if inf_end else acc
     _cone_grade(zero, t, rec.beta0, rec.n0, engine)
     if inf_end:
-        # Fibre kernels of different t-expansions can cancel at a term.
-        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero._terms.items() if c]
+        # Fibre kernels of different t-expansions can cancel at a term; ``terms`` holds no zero.
+        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
         _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
     return acc.series()
 

@@ -44,19 +44,20 @@ class EndoSeries:
         powers of f.  This is the linear extension of the operator to the
         whole space, as opposed to the substitution extension.  An entry
         meets only the f terms of its column that fit ``out_trunc``, checked
-        on total degrees before the degrees are added."""
+        on total degrees before the degrees are added; each product is
+        merged into the accumulator on integer numerators."""
         if f.target != self.target:
             raise MismatchError("operand lives over a different target")
         max_n, max_e = out_trunc.novikov_order, out_trunc.epsilon_order
         by_col: dict[int, list] = {}
         for (z, alpha, beta, eps), c in f.terms.items():
-            by_col.setdefault(alpha, []).append((z, beta, beta_total(beta), eps, c))
+            by_col.setdefault(alpha, []).append((z, beta, beta_total(beta), eps, c.numerator, c.denominator))
         acc = SeriesAccumulator(self.target, out_trunc)
         for (z_e, row, col, beta_e, eps_e), m in self.entries.items():
-            n_e = beta_total(beta_e)
-            for z_f, beta_f, n_f, eps_f, c in by_col.get(col, ()):
+            n_e, mn, md = beta_total(beta_e), m.numerator, m.denominator
+            for z_f, beta_f, n_f, eps_f, cn, cd in by_col.get(col, ()):
                 if n_e + n_f <= max_n and eps_e + eps_f <= max_e:
-                    acc.add(z_e + z_f, row, beta_add(beta_e, beta_f), eps_e + eps_f, m * c)
+                    acc.merge((z_e + z_f, row, beta_add(beta_e, beta_f), eps_e + eps_f), mn * cn, md * cd)
         return acc.series()
 
     def column(self, col: int) -> LoopSeries:

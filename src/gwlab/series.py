@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .targets import CohVector, NovikovDegree, TargetSpace, beta_add, beta_total
 
@@ -170,7 +171,7 @@ class LoopSeries:
         self.trunc = trunc
         clean: dict[TermKey, Fraction] = {}
         for (z, alpha, beta, eps), val in (terms or {}).items():
-            v = Fraction(val)
+            v = val if type(val) is Fraction else Fraction(val)
             if not v:
                 continue
             trunc.check_window(z, terms)
@@ -338,13 +339,34 @@ class LoopSeries:
         return cls.from_records(target, trunc, json.loads(text))
 
 
+def merge(sums: dict, key, num: int, den: int) -> None:
+    """Add num/den at ``key`` of ``sums``, a map from key to an integer pair
+    [num, den]: the one exact merge of the graded sums.  The pair is summed
+    over the lcm of the denominators, never reduced, and a zero product
+    inserts no key, so keys keep the order of their first nonzero products.
+    """
+    pair = sums.get(key)
+    if pair is None:
+        if num:
+            sums[key] = [num, den]
+    elif pair[1] == den:
+        pair[0] += num
+    else:
+        g = gcd(pair[1], den)
+        pair[0] = pair[0] * (den // g) + num * (pair[1] // g)
+        pair[1] *= den // g
+
+
 class SeriesAccumulator:
     """Mutable builder used by the generating-function assemblers.
 
-    Novikov/eps grades beyond the truncation are dropped (the graded
-    truncation is exact).  The z-window is checked once, when ``series``
-    builds the result: a term outside it raises there unless it has
-    cancelled to zero.
+    Terms are integer pairs [num, den] summed by ``merge``, which every add
+    ends in, so a zero value inserts no key; each ``Fraction`` is formed
+    once, by ``terms``.  Novikov/eps grades beyond the truncation are
+    dropped as terms are added (the graded truncation is exact); the
+    ``merge`` method takes terms its callers have graded.  The z-window is
+    checked once, when ``series`` builds the result: a term outside it
+    raises there unless it has cancelled to zero.
     """
 
     __slots__ = ("target", "trunc", "_terms")
@@ -352,15 +374,11 @@ class SeriesAccumulator:
     def __init__(self, target: TargetSpace, trunc: Truncation):
         self.target = target
         self.trunc = trunc
-        self._terms: dict[TermKey, Fraction] = {}
+        self._terms: dict[TermKey, list[int]] = {}
 
     def add(self, z_exp: int, alpha: int, beta: NovikovDegree, eps: int, value: Fraction) -> None:
-        if not value:
-            return
-        if not self.trunc.admits_grade(beta, eps):
-            return
-        key = (z_exp, alpha, beta, eps)
-        self._terms[key] = self._terms.get(key, Fraction(0)) + value
+        if self.trunc.admits_grade(beta, eps):
+            self.merge((z_exp, alpha, beta, eps), value.numerator, value.denominator)
 
     def add_vector(self, z_exp: int, vec: CohVector, beta: NovikovDegree, eps: int, scale: Fraction) -> None:
         for alpha, comp in enumerate(vec):
@@ -368,8 +386,18 @@ class SeriesAccumulator:
                 self.add(z_exp, alpha, beta, eps, comp * scale)
 
     def add_series(self, series: LoopSeries) -> None:
-        for (z, alpha, beta, eps), val in series.terms.items():
-            self.add(z, alpha, beta, eps, val)
+        admits = self.trunc.admits_grade
+        for key, val in series.terms.items():
+            if admits(key[2], key[3]):
+                self.merge(key, val.numerator, val.denominator)
+
+    def merge(self, key: TermKey, num: int, den: int) -> None:
+        """Add num/den at ``key``, a grade the truncation admits."""
+        merge(self._terms, key, num, den)
+
+    def terms(self) -> dict[TermKey, Fraction]:
+        """The nonzero terms as Fractions, in the order of their first adds."""
+        return {key: Fraction(num, den) for key, (num, den) in self._terms.items() if num}
 
     def series(self) -> LoopSeries:
-        return LoopSeries(self.target, self.trunc, self._terms)
+        return LoopSeries(self.target, self.trunc, self.terms())

@@ -134,6 +134,15 @@ class TargetSpace:
         """phi^gamma, characterised by (phi_alpha, phi^gamma) = delta."""
         return self.pairing_inverse[gamma]
 
+    @cached_property
+    def dual_terms(self) -> tuple:
+        """dual_terms[gamma]: the (rho, (num, den)) with c = num/den != 0 in
+        phi^gamma = sum_rho c phi_rho."""
+        return tuple(
+            tuple((rho, (c.numerator, c.denominator)) for rho, c in enumerate(row) if c)
+            for row in self.pairing_inverse
+        )
+
     def cup_basis(self, i: int, j: int) -> CohVector:
         return self.cup_tensor[i][j]
 

@@ -74,7 +74,7 @@ def _reference_contribution(rec, t, trunc, engine=None):
         for j, a, c in t.monomials():
             zero.add(j, a, b00, 1, c)
     if inf_end:
-        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero._terms.items() if c]
+        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
         _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
     return acc.series()
 

@@ -41,6 +41,10 @@ CASES = [
         ["series", "--which", "tangent", "--target", "P1", "--t", "1", "--alpha", "7"],
         2, "usage error: each ; group of --t needs 2 comma-separated rationals",
     ),
+    (
+        ["verify", "--suites", "nope", "--target", "P1", "--T", "0", "--t", "1,0;0,1;1,1"],
+        2, "usage error: --t has 3 ; groups, but T = 0 needs 1",
+    ),
 ]
 
 

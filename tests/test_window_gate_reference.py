@@ -1,16 +1,18 @@
 """Differential test of the one z-window check, made when a series is
 built, against the per-add check it replaced.
 
-The reference below keeps the previous ``SeriesAccumulator.add``, which
-checked the window on every add, and the previous ``localisation._ZeroEnd``,
-which opted out of that check, verbatim (docstrings dropped), together
-with the ``contribution`` that used them, with its accumulator class
-renamed to the checking one.  ``_reference()`` patches them into the
-``cone``, ``localisation`` and ``matrices`` bindings.  Every builder must
-return the same terms in the same insertion order on both sides, and
-raise the same first overflow, over a sweep of narrow windows on the
-point, P1 and P2.  The one intended difference is direct: an
-out-of-window add that cancels before the series is built no longer
+The reference below keeps the previous per-add check, which checked the
+window as each term came into an accumulator, and the previous
+``localisation._ZeroEnd``, which opted out of that check, together with
+the ``contribution`` that used them, with its accumulator class renamed
+to the checking one.  Every term now comes in through
+``SeriesAccumulator.merge``, so the check sits there, on each nonzero
+term, after the grade check its callers make.  ``_reference()`` patches
+them into the ``cone``, ``localisation`` and ``matrices`` bindings.
+Every builder must return the same terms in the same insertion order on
+both sides, and raise the same first overflow, over a sweep of narrow
+windows on the point, P1 and P2.  The one intended difference is direct:
+an out-of-window add that cancels before the series is built no longer
 raises.
 """
 
@@ -44,22 +46,16 @@ from test_s_apply_budget import _generic_f
 class _CheckingAccumulator(SeriesAccumulator):
     __slots__ = ()
 
-    def add(self, z_exp, alpha, beta, eps, value) -> None:
-        if not value:
-            return
-        if not self.trunc.admits_grade(beta, eps):
-            return
-        self.trunc.check_window(z_exp)
-        key = (z_exp, alpha, beta, eps)
-        self._terms[key] = self._terms.get(key, Fraction(0)) + value
+    def merge(self, key, num, den) -> None:
+        if num:
+            self.trunc.check_window(key[0])
+            super().merge(key, num, den)
 
 
 class _ZeroEnd(_CheckingAccumulator):
     __slots__ = ()
 
-    def add(self, z_exp, alpha, beta, eps, value) -> None:
-        key = (z_exp, alpha, beta, eps)
-        self._terms[key] = self._terms.get(key, Fraction(0)) + value
+    merge = SeriesAccumulator.merge
 
 
 def _reference_contribution(rec, t, trunc, engine=None):
@@ -70,7 +66,7 @@ def _reference_contribution(rec, t, trunc, engine=None):
     _cone_grade(zero, t, rec.beta0, rec.n0, engine)
     if inf_end:
         # Fibre kernels of different t-expansions can cancel at a term.
-        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero._terms.items() if c]
+        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
         _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
     return acc.series()
 
@@ -150,16 +146,20 @@ class _Logged(SeriesAccumulator):
     """The accumulator as it is, logging in time order each add that puts a
     key outside the window into it, and each accumulator that builds a series."""
 
-    __slots__ = ()
+    __slots__ = ("entered",)
     outside: list = []
     built: list = []
 
-    def add(self, z_exp, alpha, beta, eps, value) -> None:
-        key = (z_exp, alpha, beta, eps)
-        fresh = key not in self._terms
-        super().add(z_exp, alpha, beta, eps, value)
-        if fresh and key in self._terms and not self.trunc.z_min <= z_exp <= self.trunc.z_max:
-            self.outside.append((self, key))
+    def __init__(self, target, trunc):
+        super().__init__(target, trunc)
+        self.entered = set()  # a key enters at its first nonzero term and stays, cancelled or not
+
+    def merge(self, key, num, den) -> None:
+        super().merge(key, num, den)
+        if num and key not in self.entered:
+            self.entered.add(key)
+            if not self.trunc.z_min <= key[0] <= self.trunc.z_max:
+                self.outside.append((self, key))
 
     def series(self):
         self.built.append(self)
@@ -175,7 +175,7 @@ def _logged_outcome(fn, *args):
             stack.enter_context(mock.patch.object(module, "SeriesAccumulator", _Logged))
         out = _outcome(fn, *args)
     first = next(
-        ((key, acc._terms[key]) for acc, key in _Logged.outside if any(acc is b for b in _Logged.built)),
+        ((key, acc.terms().get(key, 0)) for acc, key in _Logged.outside if any(acc is b for b in _Logged.built)),
         None,
     )
     return out, first
