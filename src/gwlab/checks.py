@@ -31,7 +31,7 @@ from .cone import (
 )
 from .correlators import CorrelatorEngine, get_engine, vdim
 from .matrices import compose, s_adjoint_matrix, s_matrix
-from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record
+from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record, summed
 from .targets import TargetSpace, beta_add, beta_zero, iter_betas, make_target
 
 
@@ -265,27 +265,22 @@ def _universal_relation(t: TPolynomial, k: int, alpha: int, trunc: Truncation, b
     """``universal_relation`` with ``bracket(fixed, extra_eps)`` giving
     the double bracket of t at ``fixed``."""
     pinv = t.target.pairing_inverse
-    total = ScalarSeries(trunc, {})
     # Slot psi^{k-1} q(psi): monomials of t raise the psi power by their
     # z-power; the -z*1 summand contributes -1 psi^k at eps order zero.
-    for j, a, c in t.monomials():
-        total = total.add(bracket(((a, k - 1 + j), (alpha, 0)), 1).scale(c))
-    total = total.add(bracket(((0, k), (alpha, 0)), 0).scale(-1))
+    parts = [(c, bracket(((a, k - 1 + j), (alpha, 0)), 1)) for j, a, c in t.monomials()]
+    parts.append((-1, bracket(((0, k), (alpha, 0)), 0)))
     # The series' own z^{-k} coefficient.
-    total = total.add(bracket(((alpha, k - 1),), 0).scale(Fraction(-1) ** k))
+    parts.append(((-1) ** k, bracket(((alpha, k - 1),), 0)))
     # Cross terms between the fibre of the cone and the kernel expansion.
     for r in range(k - 1):
-        sign = Fraction(-1) ** (1 + r)
         for mu in range(t.target.rank):
             one_pt = bracket(((mu, r),), 0)
             if one_pt.is_zero():
                 continue
-            two_pt = ScalarSeries(trunc, {})
             for nu, w in enumerate(pinv[mu]):
                 if w:
-                    two_pt = two_pt.add(bracket(((nu, k - 2 - r), (alpha, 0)), 0).scale(w))
-            total = total.add(one_pt.mul(two_pt).scale(sign))
-    return total
+                    parts.append(((-1) ** (1 + r) * w, one_pt.mul(bracket(((nu, k - 2 - r), (alpha, 0)), 0))))
+    return ScalarSeries(trunc, summed((c, part.terms) for c, part in parts))
 
 
 @_timed

@@ -28,6 +28,7 @@ from .series import (
     Truncation,
     TruncationOverflowError,
     merge,
+    read_out,
 )
 from .targets import CohVector, TargetSpace, beta_add, beta_total, beta_zero, iter_betas
 
@@ -396,7 +397,7 @@ def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
     top = trunc.epsilon_order - extra_eps
     views = [_expansions_by_dim(t, n) for n in range(top + 1)]
     used = None
-    terms: dict = {}
+    sums: dict = {}
     for beta, n in _stable_pairs(target, trunc, len(fixed), top):
         if (not fixed and not n) or not views[n]:
             continue
@@ -405,7 +406,5 @@ def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
             used = sum(target.degree(a) + k for a, k in fixed)
         for weight, monos in views[n].get(vdim(target, beta, n + len(fixed)) - used, ()):
             val = engine.correlator(beta, fixed + monos)
-            if val:
-                key = (beta, n + extra_eps)
-                terms[key] = terms.get(key, Fraction(0)) + weight * val
-    return ScalarSeries(trunc, terms)
+            merge(sums, (beta, n + extra_eps), weight.numerator * val.numerator, weight.denominator * val.denominator)
+    return ScalarSeries(trunc, read_out(sums))

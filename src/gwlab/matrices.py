@@ -18,7 +18,7 @@ from functools import partial
 
 from .cone import TPolynomial, s_adjoint_corr_apply, s_apply
 from .correlators import CorrelatorEngine
-from .series import LoopSeries, MismatchError, SeriesAccumulator, Truncation
+from .series import LoopSeries, MismatchError, SeriesAccumulator, Truncation, merge, read_out
 from .targets import TargetSpace, beta_add, beta_total
 
 EntryKey = tuple[int, int, int, tuple, int]  # (z, row, col, beta, eps)
@@ -109,15 +109,14 @@ def poincare_adjoint(e: EndoSeries) -> EndoSeries:
     target = e.target
     p = target.pairing
     pinv = target.pairing_inverse
-    entries = {}
+    sums: dict = {}
     for (z, row, col, beta, eps), val in e.entries.items():
         for r in range(target.rank):
             for c in range(target.rank):
                 w = pinv[r][col] * p[row][c]
                 if w:
-                    key = (z, r, c, beta, eps)
-                    entries[key] = entries.get(key, Fraction(0)) + w * val
-    return EndoSeries(target, e.trunc, {key: val for key, val in entries.items() if val})
+                    merge(sums, (z, r, c, beta, eps), w.numerator * val.numerator, w.denominator * val.denominator)
+    return EndoSeries(target, e.trunc, read_out(sums))
 
 
 def compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) -> EndoSeries:

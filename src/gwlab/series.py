@@ -98,18 +98,10 @@ class ScalarSeries:
         self.trunc = trunc
         clean: dict[tuple[NovikovDegree, int], Fraction] = {}
         for key, val in (terms or {}).items():
-            v = Fraction(val)
+            v = val if type(val) is Fraction else Fraction(val)
             if v and trunc.admits_grade(*key):
                 clean[key] = v
         self.terms = clean
-
-    @classmethod
-    def _from_clean(cls, trunc: Truncation, terms: dict) -> "ScalarSeries":
-        """A series from Fraction terms at grades ``trunc`` admits, as the
-        operations below produce them; only the zeros are dropped."""
-        out = cls.__new__(cls)
-        out.trunc, out.terms = trunc, {key: val for key, val in terms.items() if val}
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,14 +122,11 @@ class ScalarSeries:
     def add(self, other: "ScalarSeries") -> "ScalarSeries":
         if self.trunc != other.trunc:
             raise MismatchError("scalar series truncations differ")
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return ScalarSeries._from_clean(self.trunc, out)
+        return ScalarSeries(self.trunc, summed(((1, self.terms), (1, other.terms))))
 
     def scale(self, c) -> "ScalarSeries":
         c = Fraction(c)
-        return ScalarSeries._from_clean(self.trunc, {k: c * v for k, v in self.terms.items()})
+        return ScalarSeries(self.trunc, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other: "ScalarSeries") -> "ScalarSeries":
         """Graded product; grades beyond the truncation are dropped exactly,
@@ -146,15 +135,15 @@ class ScalarSeries:
         if self.trunc != other.trunc:
             raise MismatchError("scalar series truncations differ")
         D, E = self.trunc.novikov_order, self.trunc.epsilon_order
-        right = [(b2, beta_total(b2), e2, v2) for (b2, e2), v2 in other.terms.items()]
-        out: dict[tuple[NovikovDegree, int], Fraction] = {}
+        right = [(b2, beta_total(b2), e2, v2.numerator, v2.denominator) for (b2, e2), v2 in other.terms.items()]
+        sums: dict = {}
         for (b1, e1), v1 in self.terms.items():
             room_beta, room_eps = D - beta_total(b1), E - e1
-            for b2, deg2, e2, v2 in right:
+            n1, d1 = v1.numerator, v1.denominator
+            for b2, deg2, e2, n2, d2 in right:
                 if deg2 <= room_beta and e2 <= room_eps:
-                    key = (beta_add(b1, b2), e1 + e2)
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return ScalarSeries._from_clean(self.trunc, out)
+                    merge(sums, (beta_add(b1, b2), e1 + e2), n1 * n2, d1 * d2)
+        return ScalarSeries(self.trunc, read_out(sums))
 
     def to_records(self, **labels) -> list[dict]:
         """The terms in grade order, each a ``coefficient_record`` with ``labels``."""
@@ -222,10 +211,7 @@ class LoopSeries:
 
     def add(self, other: "LoopSeries") -> "LoopSeries":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return LoopSeries(self.target, self.trunc, out)
+        return LoopSeries(self.target, self.trunc, summed(((1, self.terms), (1, other.terms))))
 
     def scale(self, c) -> "LoopSeries":
         c = Fraction(c)
@@ -256,22 +242,22 @@ class LoopSeries:
         max_e = self.trunc.epsilon_order
         buckets: dict[int, list] = {}
         for (z2, a2, b2, e2), v2 in other.terms.items():
-            buckets.setdefault(z2, []).append((a2, b2, beta_total(b2), e2, v2))
+            buckets.setdefault(z2, []).append((a2, b2, beta_total(b2), e2, v2.numerator, v2.denominator))
         pairing = self.target.pairing
-        out: dict[tuple[int, NovikovDegree, int], Fraction] = {}
+        sums: dict = {}
         for (z1, a1, b1, e1), v1 in self.terms.items():
+            n1, d1 = v1.numerator, v1.denominator
             if flip and z1 % 2:
-                v1 = -v1
+                n1 = -n1
             row = pairing[a1]
-            n1 = beta_total(b1)
+            deg1 = beta_total(b1)
             for z2 in buckets if z_sum is None else (z_sum - z1,):
-                for a2, b2, n2, e2, v2 in buckets.get(z2, ()):
+                for a2, b2, deg2, e2, n2, d2 in buckets.get(z2, ()):
                     p = row[a2]
-                    if not p or n1 + n2 > max_n or e1 + e2 > max_e:
+                    if not p or deg1 + deg2 > max_n or e1 + e2 > max_e:
                         continue
-                    key = (z1 + z2, beta_add(b1, b2), e1 + e2)
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2 * p
-        return {k: v for k, v in out.items() if v}
+                    merge(sums, (z1 + z2, beta_add(b1, b2), e1 + e2), n1 * n2 * p.numerator, d1 * d2 * p.denominator)
+        return read_out(sums)
 
     def pair_extend(self, other: "LoopSeries") -> dict[tuple[int, NovikovDegree, int], Fraction]:
         """Poincare pairing extended bilinearly; a scalar series in (z, Q, eps).
@@ -344,6 +330,9 @@ def merge(sums: dict, key, num: int, den: int) -> None:
     [num, den]: the one exact merge of the graded sums.  The pair is summed
     over the lcm of the denominators, never reduced, and a zero product
     inserts no key, so keys keep the order of their first nonzero products.
+    ``summed`` (``ScalarSeries.add``, ``LoopSeries.add``, the universal
+    relations), ``ScalarSeries.mul``, ``LoopSeries._pair``, ``_bracket_sum``,
+    ``poincare_adjoint`` and ``SeriesAccumulator`` all sum through it.
     """
     pair = sums.get(key)
     if pair is None:
@@ -355,6 +344,22 @@ def merge(sums: dict, key, num: int, den: int) -> None:
         g = gcd(pair[1], den)
         pair[0] = pair[0] * (den // g) + num * (pair[1] // g)
         pair[1] *= den // g
+
+
+def read_out(sums: dict) -> dict:
+    """The nonzero sums of a ``merge`` map as Fractions, in key order."""
+    return {key: Fraction(num, den) for key, (num, den) in sums.items() if num}
+
+
+def summed(parts) -> dict:
+    """The linear combination of the (c, terms) of ``parts``, sum c * terms,
+    each ``terms`` a map from key to exact value; merged and read out once."""
+    sums: dict = {}
+    for c, terms in parts:
+        cn, cd = c.numerator, c.denominator
+        for key, val in terms.items():
+            merge(sums, key, cn * val.numerator, cd * val.denominator)
+    return read_out(sums)
 
 
 class SeriesAccumulator:
@@ -397,7 +402,7 @@ class SeriesAccumulator:
 
     def terms(self) -> dict[TermKey, Fraction]:
         """The nonzero terms as Fractions, in the order of their first adds."""
-        return {key: Fraction(num, den) for key, (num, den) in self._terms.items() if num}
+        return read_out(self._terms)
 
     def series(self) -> LoopSeries:
         return LoopSeries(self.target, self.trunc, self.terms())

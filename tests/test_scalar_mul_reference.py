@@ -37,7 +37,15 @@ def mul(self, other: "ScalarSeries") -> "ScalarSeries":
             key = (beta_add(b1, b2), e1 + e2)
             if self.trunc.admits_grade(*key):
                 out[key] = out.get(key, Fraction(0)) + v1 * v2
-    return ScalarSeries._from_clean(self.trunc, out)
+    return _raw(self.trunc, out)
+
+
+def _raw(trunc, terms) -> ScalarSeries:
+    """A series holding ``terms`` as given, grades past ``trunc`` included;
+    only the zeros are dropped."""
+    out = ScalarSeries.__new__(ScalarSeries)
+    out.trunc, out.terms = trunc, {key: val for key, val in terms.items() if val}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +65,7 @@ def _random_series(rng, rank, trunc, past):
         (rng.choice(betas), rng.randint(0, E + past)): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for _ in range(rng.randint(0, 8))
     }
-    return ScalarSeries._from_clean(trunc, terms) if past else ScalarSeries(trunc, terms)
+    return _raw(trunc, terms) if past else ScalarSeries(trunc, terms)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -29,7 +29,12 @@ The default CLI args are ``verify --suites all --target P2 --D 4 --E 5
 --T 1 --seed 7 --format json``.  OUT.json holds the layer times and
 shares, ``Fraction``'s own time and share, the calls and cumulative
 share of ``CorrelatorEngine._block`` and ``cone._kernel_sum``, the calls
-of ``SeriesAccumulator.add``, and the top functions by own time.
+of ``SeriesAccumulator.add`` and of ``series.merge``, and the top
+functions by own time.  Every graded sum ends in ``series.merge``, so
+``merge_calls`` counts the merged products; ``acc_add_calls`` counts only
+the direct ``SeriesAccumulator.add`` calls, which are the cone point's
+degree-zero pieces (208 in the default run), since the kernel sum,
+``add_series`` and ``apply_linear`` merge their terms without it.
 """
 
 from __future__ import annotations
@@ -124,6 +129,13 @@ def _find(stats: dict, filename: str, name: str):
     return 0, 0.0
 
 
+def _calls(stats: dict, fn) -> int:
+    """The calls of the function ``fn``."""
+    code = fn.__code__
+    entry = stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+    return entry[1] if entry else 0
+
+
 def profile(args: list[str]) -> dict:
     profiler = cProfile.Profile()
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -135,12 +147,6 @@ def profile(args: list[str]) -> dict:
     fraction_own = sum(own for (fname, _, _), (_, _, own, _, _) in stats.items() if fname == fraction_file)
     block_calls, block_cum = _find(stats, correlators.__file__, "_block")
     sum_calls, sum_cum = _find(stats, cone.__file__, "_kernel_sum")
-    add_calls = next(
-        (calls for (fname, line, fn), (_, calls, _, _, _) in stats.items()
-         if fname == series.__file__ and fn == "add"
-         and line == series.SeriesAccumulator.add.__code__.co_firstlineno),
-        0,
-    )
     top = sorted(stats.items(), key=lambda item: -item[1][2])[:15]
     return {
         "argv": args,
@@ -151,7 +157,8 @@ def profile(args: list[str]) -> dict:
         "fraction_own_share": round(fraction_own / total, 3),
         "block": {"calls": block_calls, "cum_s": round(block_cum, 3), "share": round(block_cum / total, 3)},
         "kernel_sum": {"calls": sum_calls, "cum_s": round(sum_cum, 3), "share": round(sum_cum / total, 3)},
-        "acc_add_calls": add_calls,
+        "acc_add_calls": _calls(stats, series.SeriesAccumulator.add),
+        "merge_calls": _calls(stats, series.merge),
         "top_own": [
             {"function": f"{Path(fname).name}:{line}({fn})", "calls": calls, "own_s": round(own, 3)}
             for (fname, line, fn), (_, calls, own, _, _) in top
