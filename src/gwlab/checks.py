@@ -96,10 +96,9 @@ def _report(
 
 def _basis_b(target, trunc, gamma, l) -> LoopSeries:
     """phi^gamma (-z)^{-1-l} as a series: sign (-1)^{1+l} at z^{-1-l}."""
-    vec = target.dual_basis_vector(gamma)
     sign = Fraction(-1) ** (l + 1)
     b0 = beta_zero(target.class_rank)
-    terms = {(-1 - l, rho, b0, 0): sign * c for rho, c in enumerate(vec) if c}
+    terms = {(-1 - l, rho, b0, 0): sign * c for rho, c in enumerate(target.dual_basis_vector(gamma)) if c}
     return LoopSeries(target, trunc, terms)
 
 

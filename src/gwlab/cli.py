@@ -52,6 +52,7 @@ _SUITE_RUNNERS = {
     "localisation": lambda run: check_localisation(run.t, run.trunc, run.engine, seed=run.seed),
 }
 SUITES = tuple(_SUITE_RUNNERS)
+_FORMATS = ("human", "json")
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--t", default=None, help='"zero", "random" or inline coefficients "1/2,0;0,1"')
         p.add_argument("--out", default=None, help="write the report/dump to this path")
-        p.add_argument("--format", choices=("human", "json"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
@@ -113,7 +114,7 @@ def _load_config_file(path: str) -> dict:
 
 
 # JSON types of the config-file values used as read (null is also taken
-# where the default is None); "t" and "format" pass through str() and ==.
+# where the default is None); "t" passes through str(), "format" is checked.
 _CONFIG_TYPES = {
     **dict.fromkeys(("D", "E", "T", "seed", "z_min", "z_max"), int),
     **dict.fromkeys(("target", "out", "target_config"), str),
@@ -139,6 +140,8 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
+            if key == "format" and val not in _FORMATS:
+                raise ConfigurationError(f"config key 'format' must be one of {_FORMATS}, got {val!r}")
             typ = _CONFIG_TYPES.get(key)
             if typ is None or (val is None and cfg.get(key) is None):
                 continue

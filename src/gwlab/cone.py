@@ -60,7 +60,7 @@ class TPolynomial:
     def monomials(self) -> tuple[tuple[int, int, Fraction], ...]:
         """Nonzero (z-power, basis index, coefficient) triples."""
         return tuple(
-            (k, alpha, c) for k, vec in enumerate(self.coeffs) for alpha, c in enumerate(vec) if c
+            (k, alpha, c) for k, row in enumerate(self.coeffs) for alpha, c in enumerate(row) if c
         )
 
     @classmethod
@@ -186,11 +186,12 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
 
     ``grades`` lists the kernel grades (beta, n); ``operand`` is a list of
     (key, terms) with terms (z_out, beta_o, eps_o, c); ``block(beta, key,
-    monos)`` is the kernel, a map z_k -> vector, for the operand key and
-    the n t-insertions ``monos``.  Each term adds c * weight * block at
-    z_out + z_k in grade (beta_o + beta, eps_o + n).  Grades add, so a
-    kernel grade meets only the terms whose own grade leaves room for it
-    within the truncation; a grade that meets none builds no block.
+    monos)`` is the kernel, a ``correlators.Block`` (z_k -> its nonzero
+    (rho, num, den)), for the operand key and the n t-insertions ``monos``.
+    Each term adds c * weight * block at z_out + z_k in grade (beta_o +
+    beta, eps_o + n).  Grades add, so a kernel grade meets only the terms
+    whose own grade leaves room for it within the truncation; a grade that
+    meets none builds no block.
 
     The products are summed on integer numerators by ``series.merge``,
     per output key, into a sum of this call's own; then each key whose
@@ -224,8 +225,7 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
                 if not kernel:
                     continue
                 scaled = [(z, b, e, cn * wn, cd * wd) for z, b, e, cn, cd in fits]
-                for z_k, vec in kernel.items():
-                    comps = [(rho, comp.numerator, comp.denominator) for rho, comp in enumerate(vec) if comp]
+                for z_k, comps in kernel.items():
                     for z, b, e, p, q in scaled:
                         for rho, cp, cq in comps:
                             merge(sums, (z + z_k, rho, b, e), p * cp, q * cq)

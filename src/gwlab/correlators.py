@@ -48,13 +48,7 @@ from math import comb, factorial, prod
 from typing import Iterable
 
 from .series import merge
-from .targets import (
-    CohVector,
-    NovikovDegree,
-    TargetSpace,
-    beta_splits,
-    make_target,
-)
+from .targets import NovikovDegree, TargetSpace, beta_splits, make_target
 
 
 class StabilityError(ValueError):
@@ -77,7 +71,8 @@ class InvalidKeyError(ValueError):
 
 Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
 
-_ZERO = Fraction(0)
+# A kernel block: z-exponent -> its vector's nonzero components num/den at phi_rho, as (rho, num, den), rho increasing.
+Block = dict[int, tuple[tuple[int, int, int], ...]]
 
 
 def vdim(target: TargetSpace, beta: NovikovDegree, n: int) -> int:
@@ -184,15 +179,15 @@ class CorrelatorEngine:
         val = self._guarded((beta, ins), self._eval, beta, ins)
         return -val if sign < 0 and l % 2 == 0 else val
 
-    def fibre_block(self, beta: NovikovDegree, fixed: tuple, sign: int) -> dict[int, CohVector]:
-        """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma per z-exponent."""
+    def fibre_block(self, beta: NovikovDegree, fixed: tuple, sign: int) -> Block:
+        """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma, a ``Block``."""
         return self._block(beta, None, tuple(sorted(fixed)), sign)
 
-    def flow_block(self, beta: NovikovDegree, kernel_alpha: int, fixed: tuple) -> dict[int, CohVector]:
-        """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma per z-exponent."""
+    def flow_block(self, beta: NovikovDegree, kernel_alpha: int, fixed: tuple) -> Block:
+        """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma, a ``Block``."""
         return self._block(beta, kernel_alpha, tuple(sorted(fixed)), +1)
 
-    def _block(self, beta, kernel_alpha, fixed, sign) -> dict[int, CohVector]:
+    def _block(self, beta, kernel_alpha, fixed, sign) -> Block:
         """A kernel block, built on a miss in one pass over the basis.
 
         The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
@@ -203,7 +198,9 @@ class CorrelatorEngine:
         slots beside phi_gamma leave is worked out once, and only the gamma
         that fit it are reduced.  Each value is merged on integer pairs
         along the sparse ``dual_terms`` of phi^gamma; these are independent,
-        so no z-exponent a value reaches sums to the zero vector.
+        so no z-exponent a value reaches sums to the zero vector.  The
+        nonzero sums are cached unreduced, in the ``Block`` format that
+        ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
         block = self._blocks.get(key)
@@ -232,9 +229,7 @@ class CorrelatorEngine:
                 vec = sums.setdefault(z_exp, {})
                 for rho, (cn, cd) in dual:
                     merge(vec, rho, val.numerator * cn, val.denominator * cd)
-        block = {
-            z: tuple(Fraction(*vec[rho]) if rho in vec else _ZERO for rho in range(t.rank)) for z, vec in sums.items()
-        }
+        block = {z: tuple((rho, n, d) for rho, (n, d) in sorted(vec.items()) if n) for z, vec in sums.items()}
         self._blocks[key] = block
         return block
 

@@ -168,7 +168,7 @@ def check_localisation(t: TPolynomial, trunc: Truncation, engine=None, seed=None
     b0 = beta_zero(target.class_rank)
     shifted = {(1, 0, b0, 0): Fraction(-1)}
     if trunc.epsilon_order:
-        shifted.update(((k, a, b0, 1), c) for k, vec in enumerate(t.coeffs) for a, c in enumerate(vec) if c)
+        shifted.update(((k, a, b0, 1), c) for k, a, c in t.monomials())
     report.failures += _mismatches(dilaton_shift(t, trunc).terms, shifted, "cone_point", "t_minus_z")
     for beta in iter_betas(target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):

@@ -385,8 +385,8 @@ class SeriesAccumulator:
         if self.trunc.admits_grade(beta, eps):
             self.merge((z_exp, alpha, beta, eps), value.numerator, value.denominator)
 
-    def add_vector(self, z_exp: int, vec: CohVector, beta: NovikovDegree, eps: int, scale: Fraction) -> None:
-        for alpha, comp in enumerate(vec):
+    def add_vector(self, z_exp: int, vector: CohVector, beta: NovikovDegree, eps: int, scale: Fraction) -> None:
+        for alpha, comp in enumerate(vector):
             if comp:
                 self.add(z_exp, alpha, beta, eps, comp * scale)
 

@@ -291,7 +291,7 @@ def load_target(data: dict) -> TargetSpace:
                 for i, row in data.get("divisor_rows", ())
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"malformed target presentation: {exc}") from exc
     target.validate()
     return target

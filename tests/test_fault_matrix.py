@@ -28,7 +28,7 @@ ARGV = [
 
 
 def _doubled(block):
-    return {z: tuple(2 * c for c in vec) for z, vec in block.items()}
+    return {z: tuple((rho, 2 * num, den) for rho, num, den in comps) for z, comps in block.items()}
 
 
 def _fibre_doubled(real):

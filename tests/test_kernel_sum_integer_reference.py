@@ -38,6 +38,7 @@ from gwlab.localisation import contribution, enumerate_splittings, localisation_
 from gwlab.matrices import EndoSeries, s_adjoint_matrix, s_matrix
 from gwlab.series import LoopSeries, SeriesAccumulator, Truncation, TruncationOverflowError
 from gwlab.targets import beta_add, beta_total, iter_betas, make_target
+from block_view import _dense
 from test_s_apply_budget import _generic_f
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ def _reference_kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operan
             continue
         for weight, monos in _expansions(t, n):
             for key, fits in fitting:
-                kernel = block(beta, key, monos)
+                kernel = _dense(block(beta, key, monos), t.target.rank)
                 if not kernel:
                     continue
                 scaled = [(z, b, e, c * weight) for z, b, e, c in fits]
@@ -253,12 +254,14 @@ _VALUES = [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 4, 6)] + [F
 
 def _block(beta, key, monos):
     """A fixed pseudo-random kernel per (beta, key, monos), empty at times,
-    with components of mixed denominators, zeros among them."""
+    with components of mixed denominators, zeros among them, in the block
+    format: the nonzero components as unreduced (rho, num, den) triples."""
     rng = random.Random(repr((beta, key, monos)))
-    return {
-        z_k: tuple(rng.choice(_VALUES) for _ in range(_TARGET.rank))
-        for z_k in sorted(rng.sample(range(-3, 2), rng.randint(0, 3)))
-    }
+    block = {}
+    for z_k in sorted(rng.sample(range(-3, 2), rng.randint(0, 3))):
+        vec = [rng.choice(_VALUES) for _ in range(_TARGET.rank)]
+        block[z_k] = tuple((rho, 2 * c.numerator, 2 * c.denominator) for rho, c in enumerate(vec) if c)
+    return block
 
 
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 12]))

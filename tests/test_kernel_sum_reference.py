@@ -42,6 +42,7 @@ from gwlab.correlators import CorrelatorEngine
 from gwlab.matrices import EndoSeries
 from gwlab.series import SeriesAccumulator
 from gwlab.targets import beta_add, beta_total, beta_zero, iter_betas
+from block_view import _dense
 
 
 def _reference_cone_point(t, trunc, engine=None):
@@ -50,7 +51,7 @@ def _reference_cone_point(t, trunc, engine=None):
     acc.add_series(dilaton_shift(t, trunc))
     for beta, n in _stable_pairs(t.target, trunc, 1):
         for weight, monos in _expansions(t, n):
-            block = engine.fibre_block(beta, monos, -1)
+            block = _dense(engine.fibre_block(beta, monos, -1), t.target.rank)
             for z_exp, vec in block.items():
                 acc.add_vector(z_exp, vec, beta, n, weight)
     return acc.series()
@@ -81,7 +82,7 @@ def _reference_s_apply(t, f, trunc, engine=None):
             continue
         for weight, monos in _expansions(t, n):
             for alpha, fits in fitting:
-                block = engine.flow_block(beta, alpha, monos)
+                block = _dense(engine.flow_block(beta, alpha, monos), t.target.rank)
                 if not block:
                     continue
                 scaled = [(z_f, b, e, c * weight) for z_f, b, e, c in fits]
@@ -104,7 +105,7 @@ def _reference_s_adjoint_corr_apply(t, r, sign, trunc, engine=None):
     for beta, n in _stable_pairs(t.target, trunc, 2):
         for weight, monos in _expansions(t, n):
             for (z_r, alpha, beta_r, eps_r), c in r.terms.items():
-                block = engine.fibre_block(beta, tuple(sorted(monos + ((alpha, z_r),))), sign)
+                block = _dense(engine.fibre_block(beta, tuple(sorted(monos + ((alpha, z_r),))), sign), t.target.rank)
                 for z_exp, vec in block.items():
                     for rho, comp in enumerate(vec):
                         if comp:
@@ -140,7 +141,7 @@ def _reference_s_matrix(t, trunc, engine=None):
     for beta, n in _stable_pairs(target, trunc, 2):
         for weight, monos in _expansions(t, n):
             for col in range(target.rank):
-                block = engine.flow_block(beta, col, monos)
+                block = _dense(engine.flow_block(beta, col, monos), t.target.rank)
                 for z_exp, vec in block.items():
                     for row, comp in enumerate(vec):
                         _add_entry(entries, trunc, z_exp, row, col, beta, n, weight * comp)
@@ -157,7 +158,7 @@ def _reference_s_adjoint_matrix(t, trunc, engine=None):
     for beta, n in _stable_pairs(target, trunc, 2):
         for weight, monos in _expansions(t, n):
             for col in range(target.rank):
-                block = engine.fibre_block(beta, tuple(sorted(monos + ((col, 0),))), +1)
+                block = _dense(engine.fibre_block(beta, tuple(sorted(monos + ((col, 0),))), +1), t.target.rank)
                 for z_exp, vec in block.items():
                     for row, comp in enumerate(vec):
                         _add_entry(entries, trunc, z_exp, row, col, beta, n, weight * comp)
@@ -179,19 +180,19 @@ def _reference_contribution(rec, t, trunc, engine=None):
             acc.add(j, a, b00, 1, c)
     elif rec.kind == "case3":
         for weight, monos in _expansions(t, n):
-            block = engine.flow_block(beta, 0, monos)
+            block = _dense(engine.flow_block(beta, 0, monos), t.target.rank)
             for z_exp, vec in block.items():
                 # -z times the unit kernel: shift the exponent, flip the sign.
                 acc.add_vector(z_exp + 1, vec, beta, n, -weight)
     elif rec.kind == "case4":
         for weight, monos in _expansions(t, rec.n_inf):
             for j, a, c in t.monomials():
-                block = engine.flow_block(beta, a, monos)
+                block = _dense(engine.flow_block(beta, a, monos), t.target.rank)
                 for z_exp, vec in block.items():
                     acc.add_vector(z_exp + j, vec, beta, n, weight * c)
     elif rec.kind == "case5":
         for weight, monos in _expansions(t, n):
-            block = engine.fibre_block(beta, monos, -1)
+            block = _dense(engine.fibre_block(beta, monos, -1), t.target.rank)
             for z_exp, vec in block.items():
                 acc.add_vector(z_exp, vec, beta, n, weight)
     else:
@@ -209,7 +210,7 @@ def _reference_contribution(rec, t, trunc, engine=None):
                     for nu, w_dual in enumerate(pinv[a]):
                         if not w_dual:
                             continue
-                        block = engine.flow_block(rec.beta_inf, nu, monos1)
+                        block = _dense(engine.flow_block(rec.beta_inf, nu, monos1), t.target.rank)
                         for z0, v0 in zmap.items():
                             for z1, vec in block.items():
                                 acc.add_vector(

@@ -33,6 +33,7 @@ from gwlab.cone import _expansions, _stable_pairs
 from gwlab.correlators import CorrelatorEngine
 from gwlab.series import SeriesAccumulator
 from gwlab.targets import iter_betas
+from block_view import _dense
 
 
 def _reference_s_apply(t, f, trunc, engine=None):
@@ -47,7 +48,7 @@ def _reference_s_apply(t, f, trunc, engine=None):
     for beta, n in _stable_pairs(t.target, trunc, 2):
         for weight, monos in _expansions(t, n):
             for alpha, fterms in by_alpha.items():
-                block = engine.flow_block(beta, alpha, monos)
+                block = _dense(engine.flow_block(beta, alpha, monos), t.target.rank)
                 if not block:
                     continue
                 for z_k, vec in block.items():

@@ -34,6 +34,8 @@ MALFORMED = {
         {"class_rank": 2, "divisor_rows": [[1, [1, 0]]]},
         "class_rank 2 must be >= 0 and the length of c1_vector",
     ),
+    "pairing-zero-denominator": ({"pairing": [[0, "1/0"], [1, 0]]}, "malformed target presentation"),
+    "cup-zero-denominator": ({"cup": [[[1, 0], [0, 1]], [[0, "1/0"], [0, 0]]]}, "malformed target presentation"),
 }
 
 

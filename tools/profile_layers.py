@@ -27,10 +27,11 @@ Run from the root of a checkout (gwlab is imported from ``src/``):
 
 The default CLI args are ``verify --suites all --target P2 --D 4 --E 5
 --T 1 --seed 7 --format json``.  OUT.json holds the layer times and
-shares, ``Fraction``'s own time and share, the calls and cumulative
-share of ``CorrelatorEngine._block`` and ``cone._kernel_sum``, the calls
-of ``SeriesAccumulator.add`` and of ``series.merge``, and the top
-functions by own time.  Every graded sum ends in ``series.merge``, so
+shares, ``Fraction``'s own time and share, the number of ``Fraction``s
+formed (``fraction_new_calls``, the calls of ``Fraction.__new__``), the
+calls and cumulative share of ``CorrelatorEngine._block`` and
+``cone._kernel_sum``, the calls of ``SeriesAccumulator.add`` and of
+``series.merge``, and the top functions by own time.  Every graded sum ends in ``series.merge``, so
 ``merge_calls`` counts the merged products; ``acc_add_calls`` counts only
 the direct ``SeriesAccumulator.add`` calls, which are the cone point's
 degree-zero pieces (208 in the default run), since the kernel sum,
@@ -159,6 +160,7 @@ def profile(args: list[str]) -> dict:
         "kernel_sum": {"calls": sum_calls, "cum_s": round(sum_cum, 3), "share": round(sum_cum / total, 3)},
         "acc_add_calls": _calls(stats, series.SeriesAccumulator.add),
         "merge_calls": _calls(stats, series.merge),
+        "fraction_new_calls": _calls(stats, series.Fraction.__new__),
         "top_own": [
             {"function": f"{Path(fname).name}:{line}({fn})", "calls": calls, "own_s": round(own, 3)}
             for (fname, line, fn), (_, calls, own, _, _) in top
