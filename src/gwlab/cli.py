@@ -114,10 +114,10 @@ def _load_config_file(path: str) -> dict:
 
 
 # JSON types of the config-file values used as read (null is also taken
-# where the default is None); "t" passes through str(), "format" is checked.
+# where the default is None); "format" is checked against _FORMATS.
 _CONFIG_TYPES = {
     **dict.fromkeys(("D", "E", "T", "seed", "z_min", "z_max"), int),
-    **dict.fromkeys(("target", "out", "target_config"), str),
+    **dict.fromkeys(("target", "out", "target_config", "t"), str),
 }
 
 

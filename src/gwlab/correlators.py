@@ -112,6 +112,8 @@ class CorrelatorEngine:
         self._active: set[Key] = set()
         self._blocks: dict = {}
         self._plane_counts: dict[int, Fraction] = {}
+        self._free = _FreeDims(target)
+        self._degrees = target.basis_degrees
 
     # ------------------------------------------------------------------
     # public surface
@@ -168,43 +170,60 @@ class CorrelatorEngine:
     def _room(self, beta: NovikovDegree, slots: tuple) -> int:
         """The kernel dimension filter: a kernel class of degree d beside
         ``slots`` fills the virtual dimension at psi depth room - d, and is
-        zero if that is negative."""
-        t = self.target
-        return vdim(t, beta, len(slots) + 1) - sum(t.degree(a) + k for a, k in slots)
+        zero if that is negative.  Read from the engine's table of
+        ``dim - 3 + c1(beta)`` and the basis degrees, as ``_fits`` is."""
+        deg = self._degrees
+        return self._free[beta] + len(slots) + 1 - sum(deg[a] + k for a, k in slots)
 
     def _kernel(self, beta: NovikovDegree, ins: tuple, l: int, sign: int) -> Fraction:
         """The z^{-1-l} coefficient of a kernel correlator on checked
-        insertions ``ins``, whose kernel slot carries psi^l."""
-        ins = tuple(sorted(ins))
-        val = self._guarded((beta, ins), self._eval, beta, ins)
+        insertions ``ins``, whose kernel slot carries psi^l: the cached
+        value if there is one, else its reduction."""
+        key = (beta, tuple(sorted(ins)))
+        val = self._values.get(key)
+        if val is None:
+            val = self._guarded(key, self._eval, *key)
         return -val if sign < 0 and l % 2 == 0 else val
 
     def fibre_block(self, beta: NovikovDegree, fixed: tuple, sign: int) -> Block:
-        """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma, a ``Block``."""
-        return self._block(beta, None, tuple(sorted(fixed)), sign)
+        """sum_gamma <fixed..., phi_gamma/(sign*z - psi)> phi^gamma, a ``Block``:
+        the cached block, else the one ``_block`` builds."""
+        fixed = tuple(sorted(fixed))
+        block = self._blocks.get((beta, None, fixed, sign))
+        return block if block is not None else self._block(beta, None, fixed, sign)
 
     def flow_block(self, beta: NovikovDegree, kernel_alpha: int, fixed: tuple) -> Block:
-        """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma, a ``Block``."""
-        return self._block(beta, kernel_alpha, tuple(sorted(fixed)), +1)
+        """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma, a ``Block``:
+        the cached block, else the one ``_block`` builds."""
+        fixed = tuple(sorted(fixed))
+        block = self._blocks.get((beta, kernel_alpha, fixed, +1))
+        return block if block is not None else self._block(beta, kernel_alpha, fixed, +1)
 
     def _block(self, beta, kernel_alpha, fixed, sign) -> Block:
-        """A kernel block, built on a miss in one pass over the basis.
+        """The kernel block missing from the cache under its key, built and cached.
 
         The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
         block), else on phi_a with phi_gamma a plain slot (a flow block).
-        The key is canonicalised once for the unchecked calls and checked
-        once, by the gamma = 0 call of ``correlator_with_kernel``: the other
-        kernel correlators differ from it in gamma alone.  The ``_room`` the
-        slots beside phi_gamma leave is worked out once, and only the gamma
-        that fit it are reduced.  Each value is merged on integer pairs
-        along the sparse ``dual_terms`` of phi^gamma; these are independent,
-        so no z-exponent a value reaches sums to the zero vector.  The
-        nonzero sums are cached unreduced, in the ``Block`` format that
-        ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
+        If the block of the other kernel sign is cached, this one is read
+        off it: 1/(z - psi) and 1/(-z - psi) differ by (-1)^{l+1} at
+        z^{-1-l}, so the numerators at odd z flip and no value is asked for.
+        Otherwise the block is built in one pass over the basis.  The key
+        is canonicalised once for the unchecked calls and checked once, by
+        the gamma = 0 call of ``correlator_with_kernel``: the other kernel
+        correlators differ from it in gamma alone.  The ``_room`` the slots
+        beside phi_gamma leave is worked out once, and only the gamma that
+        fit it are reduced, each read through ``_kernel``.  Each value is
+        merged on integer pairs along the sparse ``dual_terms`` of
+        phi^gamma; these are independent, so no z-exponent a value reaches
+        sums to the zero vector.  The nonzero sums are cached unreduced, in
+        the ``Block`` format that ``cone._kernel_sum`` reads, and no
+        ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
-        block = self._blocks.get(key)
-        if block is not None:
+        twin = self._blocks.get((beta, kernel_alpha, fixed, -sign))
+        if twin is not None:
+            block = {z: tuple((rho, -n, d) for rho, n, d in comps) if z % 2 else comps for z, comps in twin.items()}
+            self._blocks[key] = block
             return block
         beta, fixed = canonical_key(beta, fixed)
         t = self.target
@@ -215,9 +234,10 @@ class CorrelatorEngine:
             first = self.correlator_with_kernel(beta, fixed + ((0, 0),), kernel_alpha, sign)
             room = self._room(beta, fixed + ((kernel_alpha, 0),))
         sums: dict[int, dict] = {}
+        deg = self._degrees
         for gamma, dual in enumerate(t.dual_terms):
             if gamma:
-                l = room - t.degree(gamma)
+                l = room - deg[gamma]
                 if l < 0:
                     continue
                 slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
@@ -293,9 +313,10 @@ class CorrelatorEngine:
 
     def _fits(self, beta: NovikovDegree, ins: tuple) -> bool:
         """The dimension filter: degrees plus psi powers fill the virtual
-        dimension exactly."""
-        t = self.target
-        return sum(t.degree(a) + k for a, k in ins) == vdim(t, beta, len(ins))
+        dimension exactly.  Read from the engine's table of
+        ``dim - 3 + c1(beta)`` and the basis degrees."""
+        deg = self._degrees
+        return sum(deg[a] + k for a, k in ins) == self._free[beta] + len(ins)
 
     def _move(self, ins: tuple, moves: Iterable[str]):
         """The first of ``moves`` that some insertion admits, as the bound
@@ -466,6 +487,19 @@ def _splits_by_c1(c1_vector: tuple[int, ...], beta: NovikovDegree) -> dict[int, 
         c1 = sum(c * d for c, d in zip(c1_vector, b0))
         by_c1.setdefault(c1, []).append((i, b0, b1, c1))
     return by_c1
+
+
+class _FreeDims(dict):
+    """beta -> dim - 3 + c1(beta), the virtual dimension less the number of
+    points, worked out by ``vdim`` the first time an engine meets beta."""
+
+    def __init__(self, target: TargetSpace):
+        super().__init__()
+        self.target = target
+
+    def __missing__(self, beta: NovikovDegree) -> int:
+        free = self[beta] = vdim(self.target, beta, 0)
+        return free
 
 
 _ENGINE_CACHE_SIZE = 8

@@ -274,20 +274,20 @@ def load_target(data: dict) -> TargetSpace:
     backend; only the pure series-level operations apply to them.
     """
     try:
-        pairing = tuple(tuple(Fraction(x) for x in row) for row in data["pairing"])
+        pairing = tuple(tuple(_rational(x) for x in row) for row in data["pairing"])
         cup = tuple(
-            tuple(tuple(Fraction(x) for x in vec) for vec in row) for row in data["cup"]
+            tuple(tuple(_rational(x) for x in vec) for vec in row) for row in data["cup"]
         )
         target = TargetSpace(
             name=str(data.get("name", "custom")),
-            dim=int(data["dim"]),
-            basis_degrees=tuple(int(d) for d in data["basis_degrees"]),
+            dim=_integer(data["dim"]),
+            basis_degrees=tuple(_integer(d) for d in data["basis_degrees"]),
             pairing=pairing,
             cup_tensor=cup,
-            class_rank=int(data.get("class_rank", 0)),
-            c1_vector=tuple(int(c) for c in data.get("c1_vector", ())),
+            class_rank=_integer(data.get("class_rank", 0)),
+            c1_vector=tuple(_integer(c) for c in data.get("c1_vector", ())),
             divisor_rows=tuple(
-                (int(i), tuple(int(c) for c in row))
+                (_integer(i), tuple(_integer(c) for c in row))
                 for i, row in data.get("divisor_rows", ())
             ),
         )
@@ -295,3 +295,18 @@ def load_target(data: dict) -> TargetSpace:
         raise ConfigurationError(f"malformed target presentation: {exc}") from exc
     target.validate()
     return target
+
+
+def _integer(x) -> int:
+    """An integer field of a presentation, taken as it is: a float, a string
+    or a bool is rejected rather than truncated or parsed."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _rational(x) -> Fraction:
+    """A pairing or cup entry: a number or a string ``Fraction`` reads, but not a bool."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a rational, got {x!r}")
+    return Fraction(x)

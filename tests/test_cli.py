@@ -331,7 +331,8 @@ def test_tangent_index_out_of_range_is_usage_error(capsys, flags):
 
 @pytest.mark.parametrize(
     "content",
-    [{"D": "x"}, {"z_min": "x"}, {"seed": [1]}, {"out": 1}, {"T": True}, {"E": None}, [1], {"format": "xml"}, {"format": 7}],
+    [{"D": "x"}, {"z_min": "x"}, {"seed": [1]}, {"out": 1}, {"T": True}, {"E": None}, [1], {"format": "xml"}, {"format": 7},
+     {"t": [1, 2]}, {"t": None}],
 )
 def test_config_file_value_of_wrong_type_is_configuration_error(capsys, tmp_path, content):
     path = tmp_path / "run.json"

@@ -36,6 +36,14 @@ MALFORMED = {
     ),
     "pairing-zero-denominator": ({"pairing": [[0, "1/0"], [1, 0]]}, "malformed target presentation"),
     "cup-zero-denominator": ({"cup": [[[1, 0], [0, 1]], [[0, "1/0"], [0, 0]]]}, "malformed target presentation"),
+    "dim-not-integer": ({"dim": 1.7}, "malformed target presentation: expected an integer, got 1.7"),
+    "dim-string": ({"dim": "1"}, "malformed target presentation: expected an integer, got '1'"),
+    "degree-not-integer": ({"basis_degrees": [0, 1.9]}, "expected an integer, got 1.9"),
+    "c1-not-integer": ({"c1_vector": [2.5]}, "expected an integer, got 2.5"),
+    "class-rank-bool": ({"class_rank": True}, "expected an integer, got True"),
+    "divisor-index-not-integer": ({"divisor_rows": [[1.0, [1]]]}, "expected an integer, got 1.0"),
+    "pairing-bool": ({"pairing": [[0, True], [True, 0]]}, "malformed target presentation: expected a rational, got True"),
+    "cup-bool": ({"cup": [[[True, 0], [0, 1]], [[0, 1], [0, 0]]]}, "expected a rational, got True"),
 }
 
 

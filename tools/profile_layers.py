@@ -31,7 +31,11 @@ shares, ``Fraction``'s own time and share, the number of ``Fraction``s
 formed (``fraction_new_calls``, the calls of ``Fraction.__new__``), the
 calls and cumulative share of ``CorrelatorEngine._block`` and
 ``cone._kernel_sum``, the calls of ``SeriesAccumulator.add`` and of
-``series.merge``, and the top functions by own time.  Every graded sum ends in ``series.merge``, so
+``series.merge``, and the top functions by own time.  ``fibre_block`` and
+``flow_block`` serve a cached block themselves and enter ``_block`` only
+on a miss, so ``block.calls`` counts the blocks built and
+``block_requests``, the calls of ``fibre_block`` plus ``flow_block``, the
+blocks asked for.  Every graded sum ends in ``series.merge``, so
 ``merge_calls`` counts the merged products; ``acc_add_calls`` counts only
 the direct ``SeriesAccumulator.add`` calls, which are the cone point's
 degree-zero pieces (208 in the default run), since the kernel sum,
@@ -156,6 +160,8 @@ def profile(args: list[str]) -> dict:
         "layers": {name: {"s": round(t, 3), "share": round(t / total, 3)} for name, t in layers.items()},
         "fraction_own_s": round(fraction_own, 3),
         "fraction_own_share": round(fraction_own / total, 3),
+        "block_requests": _calls(stats, correlators.CorrelatorEngine.fibre_block)
+        + _calls(stats, correlators.CorrelatorEngine.flow_block),
         "block": {"calls": block_calls, "cum_s": round(block_cum, 3), "share": round(block_cum / total, 3)},
         "kernel_sum": {"calls": sum_calls, "cum_s": round(sum_cum, 3), "share": round(sum_cum / total, 3)},
         "acc_add_calls": _calls(stats, series.SeriesAccumulator.add),
