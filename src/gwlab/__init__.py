@@ -24,7 +24,6 @@ from .cone import (
     default_truncation,
     descendant_potential,
     dilaton_shift,
-    dilaton_unshift,
     double_bracket,
     kernel_depth_bound,
     s_adjoint_corr_apply,

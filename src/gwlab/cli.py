@@ -300,7 +300,12 @@ def parse_correlator_query(target, query: str):
     deg = m.group("deg").strip()
     if deg.startswith("("):
         inner = deg[1:-1].strip()
-        beta = tuple(int(x) for x in inner.split(",")) if inner else ()
+        items = [x.strip() for x in inner.split(",")] if inner else []
+        if len(items) > 1 and not items[-1]:
+            items.pop()  # one trailing comma, as in (1,)
+        if not all(x.isdecimal() for x in items):
+            raise UsageError(f"degree {deg} must be integers separated by commas")
+        beta = tuple(int(x) for x in items)
     else:
         beta = (int(deg),)
     if len(beta) != target.class_rank:

@@ -87,28 +87,6 @@ def dilaton_shift(t: TPolynomial, trunc: Truncation) -> LoopSeries:
     return acc.series()
 
 
-def dilaton_unshift(q: LoopSeries) -> TPolynomial:
-    """Inverse of the shift; rejects series that are not of the shifted form."""
-    target = q.target
-    b0 = beta_zero(target.class_rank)
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    top = 0
-    for (z, alpha, beta, eps), val in q.terms.items():
-        if eps == 0:
-            if (z, alpha, beta, val) != (1, 0, b0, Fraction(-1)):
-                raise MismatchError("series is not a dilaton-shifted polynomial")
-            continue
-        if eps != 1 or beta != b0 or z < 0:
-            raise MismatchError("series is not a dilaton-shifted polynomial")
-        coeffs[(z, alpha)] = val
-        top = max(top, z)
-    vecs = [
-        tuple(coeffs.get((k, alpha), Fraction(0)) for alpha in range(target.rank))
-        for k in range(top + 1)
-    ]
-    return TPolynomial(target, tuple(vecs))
-
-
 # Entries are keyed by t, so an unbounded cache would keep every t a
 # long-lived process has seen; a few dozen covers the working set of one
 # verify run (one t, n up to the eps order).

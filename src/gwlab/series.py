@@ -159,6 +159,7 @@ class LoopSeries:
         self.target = target
         self.trunc = trunc
         clean: dict[TermKey, Fraction] = {}
+        rank = target.rank
         for (z, alpha, beta, eps), val in (terms or {}).items():
             v = val if type(val) is Fraction else Fraction(val)
             if not v:
@@ -169,6 +170,8 @@ class LoopSeries:
                     f"term at novikov {beta}, eps {eps} exceeds truncation "
                     f"({trunc.novikov_order}, {trunc.epsilon_order})"
                 )
+            if not 0 <= alpha < rank:
+                raise MismatchError(f"basis index {alpha} is not one of the {rank} classes of {target.name}")
             clean[(z, alpha, beta, eps)] = v
         self.terms = clean
 
@@ -225,17 +228,16 @@ class LoopSeries:
 
     # -- pairing, residue, polarisation -------------------------------------
 
-    def _pair(
-        self, other: "LoopSeries", z_sum: int | None = None, flip: bool = False
-    ) -> dict[tuple[int, NovikovDegree, int], Fraction]:
-        """Poincare pairing of the terms of self and other, keyed (z, Q, eps).
+    def omega(self, other: "LoopSeries") -> ScalarSeries:
+        """Symplectic form: the z^{-1} coefficient of (f(-z), g(z)).
 
-        The terms of ``other`` are bucketed by z exponent, each carrying
-        its total Novikov degree.  A term of self at z1 meets only the
-        bucket ``z_sum - z1``, or every bucket when ``z_sum`` is None.
-        ``flip`` reads self as f(-z): sign (-1)^z1 on its z^z1 terms.  A
-        pair whose Novikov or eps grade exceeds the truncation is skipped
-        before its degree is formed, as is a zero pairing entry.
+        The terms of g are bucketed by z exponent, each carrying its total
+        Novikov degree.  Only pairs of terms whose z exponents sum to -1
+        contribute, so each term of f at z^k meets only the z^{-1-k}
+        bucket of g, with the sign (-1)^k of f(-z) applied in place; no
+        other z-product is formed.  A pair whose Novikov or eps grade
+        exceeds the truncation is skipped before its degree is formed, as
+        is a zero pairing entry.
         """
         self._check_compatible(other)
         max_n = self.trunc.novikov_order
@@ -246,40 +248,15 @@ class LoopSeries:
         pairing = self.target.pairing
         sums: dict = {}
         for (z1, a1, b1, e1), v1 in self.terms.items():
-            n1, d1 = v1.numerator, v1.denominator
-            if flip and z1 % 2:
-                n1 = -n1
+            n1, d1 = (-v1.numerator if z1 % 2 else v1.numerator), v1.denominator
             row = pairing[a1]
             deg1 = beta_total(b1)
-            for z2 in buckets if z_sum is None else (z_sum - z1,):
-                for a2, b2, deg2, e2, n2, d2 in buckets.get(z2, ()):
-                    p = row[a2]
-                    if not p or deg1 + deg2 > max_n or e1 + e2 > max_e:
-                        continue
-                    merge(sums, (z1 + z2, beta_add(b1, b2), e1 + e2), n1 * n2 * p.numerator, d1 * d2 * p.denominator)
-        return read_out(sums)
-
-    def pair_extend(self, other: "LoopSeries") -> dict[tuple[int, NovikovDegree, int], Fraction]:
-        """Poincare pairing extended bilinearly; a scalar series in (z, Q, eps).
-
-        All z-exponents of the product are kept (nothing to drop: the
-        result is not re-windowed), while Novikov and eps grades beyond
-        the truncation are discarded exactly as in every graded product.
-        """
-        return self._pair(other)
-
-    def omega(self, other: "LoopSeries") -> ScalarSeries:
-        """Symplectic form: the z^{-1} coefficient of (f(-z), g(z)).
-
-        Only pairs of terms whose z exponents sum to -1 contribute, so
-        each term of f at z^k meets only the z^{-1-k} bucket of g, with
-        the flip's sign (-1)^k applied in place; no other z-product is
-        formed.
-        """
-        return ScalarSeries(
-            self.trunc,
-            {(beta, eps): val for (_, beta, eps), val in self._pair(other, -1, True).items()},
-        )
+            for a2, b2, deg2, e2, n2, d2 in buckets.get(-1 - z1, ()):
+                p = row[a2]
+                if not p or deg1 + deg2 > max_n or e1 + e2 > max_e:
+                    continue
+                merge(sums, (beta_add(b1, b2), e1 + e2), n1 * n2 * p.numerator, d1 * d2 * p.denominator)
+        return ScalarSeries(self.trunc, read_out(sums))
 
     def split_plus_minus(self) -> tuple["LoopSeries", "LoopSeries"]:
         """Polarisation: (z-exponents >= 0, z-exponents < 0); sum is f."""
@@ -320,10 +297,6 @@ class LoopSeries:
     def to_json(self) -> str:
         return json.dumps(self.to_records(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, target: TargetSpace, trunc: Truncation, text: str) -> "LoopSeries":
-        return cls.from_records(target, trunc, json.loads(text))
-
 
 def merge(sums: dict, key, num: int, den: int) -> None:
     """Add num/den at ``key`` of ``sums``, a map from key to an integer pair
@@ -331,7 +304,7 @@ def merge(sums: dict, key, num: int, den: int) -> None:
     over the lcm of the denominators, never reduced, and a zero product
     inserts no key, so keys keep the order of their first nonzero products.
     ``summed`` (``ScalarSeries.add``, ``LoopSeries.add``, the universal
-    relations), ``ScalarSeries.mul``, ``LoopSeries._pair``, ``_bracket_sum``,
+    relations), ``ScalarSeries.mul``, ``LoopSeries.omega``, ``_bracket_sum``,
     ``poincare_adjoint`` and ``SeriesAccumulator`` all sum through it.
     """
     pair = sums.get(key)

@@ -42,10 +42,11 @@ def beta_total(beta: NovikovDegree) -> int:
 
 
 def iter_betas(rank: int, bound: int) -> list[NovikovDegree]:
-    """All effective degrees with total degree <= bound, by total then lex."""
-    if rank == 0:
-        return [()]
-    betas = [b for b in product(range(bound + 1), repeat=rank) if sum(b) <= bound]
+    """All effective degrees with total degree <= bound, by total then lex;
+    each prefix grows only while its total stays within the bound."""
+    betas: list[NovikovDegree] = [()]
+    for _ in range(rank):
+        betas = [b + (d,) for b in betas for d in range(bound - sum(b) + 1)]
     betas.sort(key=lambda b: (sum(b), b))
     return betas
 

@@ -238,6 +238,8 @@ def test_correlator_queries(capsys):
     assert (code, out.strip()) == (0, "1/1")
     code, out, _ = run(capsys, "correlator", "--target", "P2", "d=3; (2,0) x8")
     assert (code, out.strip()) == (0, "12/1")
+    code, out, _ = run(capsys, "correlator", "--target", "P1", "d=(1,); (1,0) (1,0)")  # one trailing comma
+    assert (code, out.strip()) == (0, "1/1")
 
 
 def test_correlator_parse_errors(capsys):
@@ -245,6 +247,9 @@ def test_correlator_parse_errors(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, "correlator", "--target", "P2", "d=1; (9,0)")
     assert code == 2 and "out of range" in err
+    for degree in ("(,)", "(1,,0)", "(1,,)", "(,1)", "(1 2)"):
+        code, _, err = run(capsys, "correlator", "--target", "P1", f"d={degree}; (1,0)")
+        assert code == 2 and err.startswith(f"usage error: degree {degree} must be integers")
 
 
 def test_correlator_stability_error_surfaced(capsys):
@@ -378,7 +383,7 @@ _QUERY_TEXT = st.text(alphabet="d=(),; x0123", max_size=14)
 
 @st.composite
 def _structured_query(draw):
-    degree = draw(st.sampled_from(["0", "1", "2", "()", "(1)", "(1,0)"]))
+    degree = draw(st.sampled_from(["0", "1", "2", "()", "(1)", "(1,)", "(1,0)"]))
     slots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
     return f"d={degree}; " + " ".join(f"({a},{k})" for a, k in slots)
 
@@ -425,6 +430,8 @@ def _argv(draw):
 @given(argv=_argv())
 @example(argv=["correlator", "--target", "P1", "d=100; (0,199) (1,0) (1,0)"])
 @example(argv=["correlator", "--target", "P1", "d=200; (0,399) (1,0) (1,0)"])
+@example(argv=["correlator", "--target", "P1", "d=(1,); (1,0) (1,0)"])
+@example(argv=["correlator", "--target", "P1", "d=(,); (1,0)"])
 def test_cli_fuzz_exit_codes(capsys, argv):
     # Small inputs only: every run ends in an exact answer or a named
     # error with a documented exit code, never an escaping exception.

@@ -12,7 +12,6 @@ from gwlab import (
     default_truncation,
     descendant_potential,
     dilaton_shift,
-    dilaton_unshift,
     double_bracket,
     get_engine,
     make_target,
@@ -54,20 +53,6 @@ def test_dilaton_coordinates():
     assert q.coefficient(1, 0, (0,), 1) == t.coeffs[1][0]
     assert q.coefficient(1, 0, (0,), 0) == -1
     assert q.coefficient(0, 2, (0,), 1) == t.coeffs[0][2]
-
-
-def test_dilaton_round_trip():
-    tr = default_truncation(P1, 1, 2, 2)
-    for seed in (1, 2, 3):
-        t = TPolynomial.random(P1, 2, seed=seed)
-        assert dilaton_unshift(dilaton_shift(t, tr)) == t
-
-
-def test_dilaton_unshift_rejects_junk():
-    tr = default_truncation(P1, 1, 2, 1)
-    bad = LoopSeries(P1, tr, {(-1, 0, (0,), 1): Fraction(1), (1, 0, (0,), 0): Fraction(-1)})
-    with pytest.raises(MismatchError):
-        dilaton_unshift(bad)
 
 
 # ---------------------------------------------------------------------------

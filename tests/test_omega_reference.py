@@ -65,10 +65,9 @@ def _reference_omega(f: LoopSeries, g: LoopSeries) -> ScalarSeries:
 
 
 def _assert_same(f: LoopSeries, g: LoopSeries) -> bool:
-    """Compare omega and pair_extend with the reference; True if omega is nonzero."""
+    """Compare omega with the reference; True if omega is nonzero."""
     got = f.omega(g)
     assert got == _reference_omega(f, g)
-    assert f.pair_extend(g) == _reference_pair_extend(f, g)
     return not got.is_zero()
 
 
@@ -157,7 +156,5 @@ def test_mismatched_truncation_or_target_raises():
     ):
         with pytest.raises(MismatchError):
             f.omega(other)
-        with pytest.raises(MismatchError):
-            f.pair_extend(other)
         with pytest.raises(MismatchError):
             _reference_omega(f, other)

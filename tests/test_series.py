@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from gwlab import (
     LoopSeries,
     MismatchError,
+    SeriesAccumulator,
     Truncation,
     TruncationOverflowError,
+    identity_endo,
     make_target,
 )
 
@@ -76,6 +79,22 @@ def test_mismatched_truncation_errors():
         LoopSeries.zero(P2, TR).add(LoopSeries.zero(PT, TR_PT))
 
 
+@pytest.mark.parametrize("alpha", [5, 2, -1])
+def test_basis_index_outside_the_target_is_refused(alpha):
+    # P1 has the classes 0 and 1: a term at another index would index the
+    # pairing out of range, or drop out of a matrix action unseen.
+    p1, tr = make_target("P1"), Truncation(1, 1, -2, 2)
+    refused = f"basis index {alpha} is not one of the 2 classes of P1"
+    with pytest.raises(MismatchError, match=refused):
+        LoopSeries.basis(p1, tr, alpha).omega(LoopSeries.basis(p1, tr, 0, -1))
+    with pytest.raises(MismatchError, match=refused):
+        identity_endo(p1, tr).apply_linear(LoopSeries(p1, tr, {(0, alpha, (0,), 0): Fraction(1)}), tr)
+    acc = SeriesAccumulator(p1, tr)
+    acc.add(0, alpha, (0,), 0, Fraction(1))
+    with pytest.raises(MismatchError, match=refused):
+        acc.series()
+
+
 def test_window_overflow_is_loud():
     with pytest.raises(TruncationOverflowError) as err:
         LoopSeries(PT, TR_PT, {(-9, 0, (), 0): Fraction(1)})
@@ -83,19 +102,7 @@ def test_window_overflow_is_loud():
 
 
 # ---------------------------------------------------------------------------
-# pairing extension and symplectic form
-
-
-def test_pair_extend_point_monomials():
-    f = LoopSeries(PT, TR_PT, {(2, 0, (), 0): Fraction(3)})
-    g = LoopSeries(PT, TR_PT, {(-3, 0, (), 0): Fraction(5, 2)})
-    assert f.pair_extend(g) == {(-1, (), 0): Fraction(15, 2)}
-    assert f.pair_extend(LoopSeries.zero(PT, TR_PT)) == {}
-
-
-def test_pair_extend_p2_hyperplanes():
-    h = LoopSeries.basis(P2, TR, 1, 0)
-    assert h.pair_extend(h) == {(0, (0,), 0): Fraction(1)}
+# symplectic form
 
 
 def test_omega_point_formula():
@@ -175,7 +182,7 @@ def test_is_z_polynomial_modes():
 @given(series_strategy(P2, TR))
 def test_serialization_round_trip(f):
     text = f.to_json()
-    back = LoopSeries.from_json(P2, TR, text)
+    back = LoopSeries.from_records(P2, TR, json.loads(text))
     assert back == f
     assert back.to_json() == text  # bit-exact
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import dataclasses
+from itertools import product
 
 import pytest
 
 from gwlab import ConfigurationError, get_engine, load_target, make_target
+from gwlab.cone import kernel_depth_bound
 from gwlab.targets import beta_splits, iter_betas
 
 
@@ -86,6 +88,23 @@ def test_beta_helpers():
     assert iter_betas(1, 2) == [(0,), (1,), (2,)]
     assert beta_splits((2,)) == [((0,), (2,)), ((1,), (1,)), ((2,), (0,))]
     assert beta_splits(()) == [((), ())]
+
+
+@pytest.mark.parametrize("rank", range(6))
+def test_iter_betas_equals_the_box_enumeration(rank):
+    for bound in range(6):
+        box = [b for b in product(range(bound + 1), repeat=rank) if sum(b) <= bound]
+        assert iter_betas(rank, bound) == sorted(box, key=lambda b: (sum(b), b))
+
+
+def test_iter_betas_grows_with_the_answer_not_the_box():
+    # The (D+1)^rank box at rank 16, D = 4 holds 5^16 tuples; the degrees
+    # of total <= 4 are C(20, 4) of them.
+    betas = iter_betas(16, 4)
+    assert len(betas) == len(set(betas)) == 4845
+    assert betas[0] == (0,) * 16 and betas[-1] == (4,) + (0,) * 15
+    curves = dataclasses.replace(make_target("point"), name="curves", class_rank=16, c1_vector=(1,) * 16)
+    assert kernel_depth_bound(curves, 4, 2) == 5  # dim - 3 + max c1 + E + 2
 
 
 def test_custom_target_validated():

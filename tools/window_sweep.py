@@ -5,10 +5,13 @@ The sweep covers the point, P1 and P2; T in 0..2; --z-min in -1..-10;
 --z-max in 1..3; and (D, E) in (2, 2), (2, 3), (3, 2), (1, 4).  At each
 setting it runs one ``verify`` with the polynomiality, inverse,
 lagrangian, tangent and localisation suites, and the four ``series``
-dumps: 5,400 runs, in-process through ``gwlab.cli.main``.  Each run is
-written with its argv, exit code, stdout and stderr; the only edits are
-the timing fields (``elapsed_s`` and the human ``(...s)`` suite times),
-which are blanked so that equal runs compare equal.
+dumps: 5,400 runs.  Then it runs a fixed list of ``correlator`` queries:
+one valid key per target, and the degree tuples with a trailing or an
+empty entry, ``(1,)``, ``(,)`` and ``(1,,0)``.  All 5,406 runs go
+in-process through ``gwlab.cli.main``.  Each run is written with its
+argv, exit code, stdout and stderr; the only edits are the timing
+fields (``elapsed_s`` and the human ``(...s)`` suite times), which are
+blanked so that equal runs compare equal.
 
 Run from the root of a checkout (gwlab is imported from ``src/``):
 
@@ -38,6 +41,15 @@ COMMANDS = (
     *(["series", "--which", which] for which in ("cone", "SL", "locsum", "tangent")),
 )
 
+CORRELATOR_QUERIES = (
+    ("point", "d=(); (0,0) (0,0) (0,0)"),
+    ("P1", "d=1; (1,0) (1,0)"),
+    ("P2", "d=1; (2,0) (2,0)"),
+    ("P1", "d=(1,); (1,0) (1,0)"),
+    ("P1", "d=(,); (1,0)"),
+    ("P1", "d=(1,,0); (1,0)"),
+)
+
 _TIMINGS = (
     (re.compile(r'"elapsed_s": [-+0-9.eE]+'), '"elapsed_s": null'),
     (re.compile(r"\(\d+\.\d+s\)"), "(s)"),
@@ -58,6 +70,8 @@ def sweep_argvs():
             "--target", target, "--D", str(D), "--E", str(E), "--T", str(T),
             "--z-min", str(z_min), "--z-max", str(z_max),
         ]
+    for target, query in CORRELATOR_QUERIES:
+        yield ["correlator", "--target", target, query]
 
 
 def run(argv: list[str]) -> dict:
