@@ -20,17 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import oracles
+from . import cone, matrices, oracles
 from .cone import (
     TPolynomial,
+    _tangent_window_guard,
     cone_point,
     double_bracket,
     s_adjoint_corr_apply,
     s_apply,
-    tangent_vector,
 )
 from .correlators import CorrelatorEngine, get_engine, vdim
-from .matrices import compose, s_adjoint_matrix, s_matrix
+from .matrices import EndoSeries, _columns, compose, s_matrix
 from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record, summed
 from .targets import TargetSpace, beta_add, beta_zero, iter_betas, make_target
 
@@ -186,12 +186,54 @@ def check_engine_oracles(seed: int) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# Values several suites read, built once per engine in its memo.  Each
+# suite reaches a builder through the module binding it names, and that
+# binding keys the value with its exact arguments: a binding replaced in
+# one module is still called, and never served what another one built.
+# Without an engine there is no memo: each builder then falls back to the
+# default engine itself, as it does when a check calls it directly.
+
+
+def _shared(engine: CorrelatorEngine | None, key, build):
+    return build() if engine is None else engine.shared(key, build)
+
+
+def _cone_transform(apply, point, t: TPolynomial, trunc: Truncation, engine) -> LoopSeries:
+    """S(cone point): ``apply`` on the cone point that ``point`` builds.
+    Polynomiality, tangent and the localisation identity share it."""
+    point_key = (point, t, trunc)
+    return _shared(
+        engine,
+        (apply, t, point_key, trunc),
+        lambda: apply(t, _shared(engine, point_key, lambda: point(t, trunc, engine)), trunc, engine),
+    )
+
+
+def _adjoint_image(apply, t: TPolynomial, alpha: int, j: int, trunc: Truncation, engine) -> LoopSeries:
+    """S*(-z)(phi_alpha z^j) as ``apply`` builds it, the tangent vector of
+    phi_alpha z^j.  Tangent, lagrangian and inverse share it."""
+    return _shared(
+        engine,
+        (apply, t, alpha, j, -1, trunc),
+        lambda: apply(t, LoopSeries.basis(t.target, trunc, alpha, j), -1, trunc, engine),
+    )
+
+
+def _adjoint_at_minus_z(t: TPolynomial, trunc: Truncation, engine) -> EndoSeries:
+    """S*(-z) as a matrix: column a is S*(-z) phi_a, the k = 0 tangent
+    vector, through ``matrices.s_adjoint_corr_apply``.  Its entries are
+    those of ``flip_z(s_adjoint_matrix)``, in the same order."""
+    apply = matrices.s_adjoint_corr_apply
+    return _columns(t.target, trunc, lambda a: _adjoint_image(apply, t, a, 0, trunc, engine))
+
+
+# ---------------------------------------------------------------------------
 # Hidden polynomiality of the transformed cone.
 
 
 def _transformed_cone(t: TPolynomial, trunc: Truncation, engine) -> tuple[LoopSeries, list]:
     """S(cone point) and its z^{<=0} keys, which polynomiality and tangent require to vanish."""
-    value = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
+    value = _cone_transform(s_apply, cone_point, t, trunc, engine)
     _, offenders = value.is_z_polynomial(strict=True)
     return value, offenders
 
@@ -223,8 +265,7 @@ def check_inverse(
     """The adjoint at -z composes with the operator to the identity at
     every retained grade."""
     s = s_matrix(t, trunc, engine)
-    s_adj = s_adjoint_matrix(t, trunc, engine)
-    product = compose(s, s_adj, flip_second=True, trunc=trunc)
+    product = compose(s, _adjoint_at_minus_z(t, trunc, engine), flip_second=False, trunc=trunc)
     _, offenders = product.is_identity()
     failures = [
         coefficient_record(b, e, product.coefficient(z, r, c, b, e), z_exp=z, row=r, col=c)
@@ -333,7 +374,7 @@ def check_lagrangian(
     target = t.target
     failures = []
     images = {
-        (a, j): s_adjoint_corr_apply(t, LoopSeries.basis(target, trunc, a, j), -1, trunc, engine)
+        (a, j): _adjoint_image(s_adjoint_corr_apply, t, a, j, trunc, engine)
         for a in range(target.rank)
         for j in range(j_max + 1)
     }
@@ -458,12 +499,14 @@ def check_cone_in_tangent(
         {"part": "operator", "key": [z, a, list(b), e]} for (z, a, b, e) in offenders
     ]
 
-    base = [tangent_vector(t, rho, 0, trunc, engine) for rho in range(target.rank)]
+    def tangent(alpha, k):
+        # tangent_vector with its window guard, built by the binding it calls.
+        _tangent_window_guard(t, alpha, k, trunc, engine)
+        return _adjoint_image(cone.s_adjoint_corr_apply, t, alpha, k, trunc, engine)
+
+    base = [tangent(rho, 0) for rho in range(target.rank)]
     labels = [(alpha, k) for alpha in range(target.rank) for k in range(max(t.degree, 0) + 1)]
-    targets_vecs = [
-        (tangent_vector(t, alpha, k, trunc, engine) if k else base[alpha]).terms
-        for alpha, k in labels
-    ]
+    targets_vecs = [(tangent(alpha, k) if k else base[alpha]).terms for alpha, k in labels]
     columns = []
     for vec in base:
         for j in range(max(t.degree, 1) + 1):

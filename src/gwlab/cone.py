@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .correlators import CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
+from .correlators import _EXPANSIONS_CACHE_SIZE, CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
 from .series import (
     LoopSeries,
     MismatchError,
@@ -85,12 +85,6 @@ def dilaton_shift(t: TPolynomial, trunc: Truncation) -> LoopSeries:
     for n in (0, 1):
         _cone_grade(acc, t, beta_zero(t.target.class_rank), n, None)
     return acc.series()
-
-
-# Entries are keyed by t, so an unbounded cache would keep every t a
-# long-lived process has seen; a few dozen covers the working set of one
-# verify run (one t, n up to the eps order).
-_EXPANSIONS_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_EXPANSIONS_CACHE_SIZE)
@@ -330,14 +324,26 @@ def tangent_vector(
         phi_alpha z^k + sum Q^beta eps^n / n! <phi_alpha psi^k, t, ..., t,
                                                phi_gamma/(-z - psi)> phi^gamma.
     """
+    _tangent_window_guard(t, alpha, k, trunc, engine)
+    r = LoopSeries.basis(t.target, trunc, alpha, k)
+    return s_adjoint_corr_apply(t, r, -1, trunc, engine)
+
+
+def _tangent_window_guard(
+    t: TPolynomial,
+    alpha: int,
+    k: int,
+    trunc: Truncation,
+    engine: CorrelatorEngine | None = None,
+) -> None:
+    """Raises ``TruncationOverflowError`` if ``tangent_vector`` refuses
+    phi_alpha z^k at trunc: k must stay below z_max.  The refusal comes
+    before the vector is built; the rerun hint also holds its terms."""
     if k > trunc.z_max - 1:
-        # Refused before it is built; the rerun hint also holds the vector's terms.
         depth = kernel_depth_bound(t.target, trunc.novikov_order, trunc.epsilon_order)
         room = replace(trunc, z_min=min(trunc.z_min, -1 - depth), z_max=k + 1)
         span = [z for z, _, _, _ in tangent_vector(t, alpha, k, room, engine).terms]
         raise TruncationOverflowError(k + 1, trunc.z_min, trunc.z_max, *span)
-    r = LoopSeries.basis(t.target, trunc, alpha, k)
-    return s_adjoint_corr_apply(t, r, -1, trunc, engine)
 
 
 def double_bracket(

@@ -42,6 +42,7 @@ computation is harmless.  This build is single-threaded.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -73,6 +74,12 @@ Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
 
 # A kernel block: z-exponent -> its vector's nonzero components num/den at phi_rho, as (rho, num, den), rho increasing.
 Block = dict[int, tuple[tuple[int, int, int], ...]]
+
+# Entries are keyed by t, so an unbounded cache would keep every t a
+# long-lived process has seen; a few dozen covers the working set of one
+# verify run: one t, with n up to the eps order in ``cone._expansions``,
+# and the values the suites share in ``CorrelatorEngine.shared``.
+_EXPANSIONS_CACHE_SIZE = 64
 
 
 def vdim(target: TargetSpace, beta: NovikovDegree, n: int) -> int:
@@ -111,6 +118,7 @@ class CorrelatorEngine:
         self._values: dict[Key, Fraction] = {}
         self._active: set[Key] = set()
         self._blocks: dict = {}
+        self._shared: OrderedDict = OrderedDict()
         self._plane_counts: dict[int, Fraction] = {}
         self._free = _FreeDims(target)
         self._degrees = target.basis_degrees
@@ -132,6 +140,22 @@ class CorrelatorEngine:
         if n == 0:
             raise StabilityError("correlators without insertions are not supported")
         return cached if cached is not None else self._guarded(key, self._eval, beta, ins)
+
+    def shared(self, key, build):
+        """build(), the value that several suites read, kept under key.
+
+        Values are held only for the life of the engine; as keys hold t,
+        at most ``_EXPANSIONS_CACHE_SIZE`` are kept, the least recently
+        used dropped first.  A build that raises keeps nothing.
+        """
+        value = self._shared.get(key)
+        if value is None:
+            value = self._shared[key] = build()
+            if len(self._shared) > _EXPANSIONS_CACHE_SIZE:
+                self._shared.popitem(last=False)
+        else:
+            self._shared.move_to_end(key)
+        return value
 
     def _check_key(self, beta: NovikovDegree, ins: tuple) -> None:
         """Checks a key from outside the engine; keys the reduction

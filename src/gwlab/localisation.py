@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import oracles
-from .checks import CheckReport, _report, _timed
+from .checks import CheckReport, _cone_transform, _report, _timed
 from .cone import TPolynomial, _cone_grade, _kernel_sum, cone_point, dilaton_shift, s_apply
 from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
@@ -141,7 +141,7 @@ def check_main_identity(
     """localisation_sum(t) equals the solution operator applied to the cone
     point, exactly at every retained (z, basis, novikov, eps) grade."""
     left = localisation_sum(t, trunc, engine)
-    right = s_apply(t, cone_point(t, trunc, engine), trunc, engine)
+    right = _cone_transform(s_apply, cone_point, t, trunc, engine)
     failures = _mismatches(left.terms, right.terms, "fixed_locus_sum", "cone_transform")
     return _report("localisation", t, trunc, failures, seed)
 

@@ -159,7 +159,7 @@ class LoopSeries:
         self.target = target
         self.trunc = trunc
         clean: dict[TermKey, Fraction] = {}
-        rank = target.rank
+        rank, class_rank = target.rank, target.class_rank
         for (z, alpha, beta, eps), val in (terms or {}).items():
             v = val if type(val) is Fraction else Fraction(val)
             if not v:
@@ -172,6 +172,8 @@ class LoopSeries:
                 )
             if not 0 <= alpha < rank:
                 raise MismatchError(f"basis index {alpha} is not one of the {rank} classes of {target.name}")
+            if len(beta) != class_rank:
+                raise MismatchError(f"novikov degree {beta} needs {class_rank} entries on {target.name}")
             clean[(z, alpha, beta, eps)] = v
         self.terms = clean
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,20 @@ def test_basis_index_outside_the_target_is_refused(alpha):
         identity_endo(p1, tr).apply_linear(LoopSeries(p1, tr, {(0, alpha, (0,), 0): Fraction(1)}), tr)
     acc = SeriesAccumulator(p1, tr)
     acc.add(0, alpha, (0,), 0, Fraction(1))
+    with pytest.raises(MismatchError, match=refused):
+        acc.series()
+
+
+@pytest.mark.parametrize("beta", [(0, 0), (), (0, 1, 0)])
+def test_novikov_degree_of_another_rank_is_refused(beta):
+    # P1 has one curve class: a longer or shorter degree would be cut to
+    # the shorter length by beta_add and re-keyed unseen.
+    p1, tr = make_target("P1"), Truncation(1, 1, -2, 2)
+    refused = rf"novikov degree {re.escape(str(beta))} needs 1 entries on P1"
+    with pytest.raises(MismatchError, match=refused):
+        LoopSeries(p1, tr, {(0, 0, beta, 0): 1})
+    acc = SeriesAccumulator(p1, tr)
+    acc.add(0, 1, beta, 0, Fraction(1))
     with pytest.raises(MismatchError, match=refused):
         acc.series()
 
