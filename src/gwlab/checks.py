@@ -265,7 +265,7 @@ def check_inverse(
     """The adjoint at -z composes with the operator to the identity at
     every retained grade."""
     s = s_matrix(t, trunc, engine)
-    product = compose(s, _adjoint_at_minus_z(t, trunc, engine), flip_second=False, trunc=trunc)
+    product = compose(s, _adjoint_at_minus_z(t, trunc, engine), trunc)
     _, offenders = product.is_identity()
     failures = [
         coefficient_record(b, e, product.coefficient(z, r, c, b, e), z_exp=z, row=r, col=c)

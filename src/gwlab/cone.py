@@ -19,7 +19,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .correlators import _EXPANSIONS_CACHE_SIZE, CorrelatorEngine, canonical_key, get_engine, is_stable, vdim
+from .correlators import (
+    _EXPANSIONS_CACHE_SIZE, CorrelatorEngine, StabilityError, canonical_key, get_engine, is_stable, vdim,
+)
 from .series import (
     LoopSeries,
     MismatchError,
@@ -43,7 +45,7 @@ class TPolynomial:
     def __post_init__(self):
         for vec in self.coeffs:
             if len(vec) != self.target.rank:
-                raise ValueError("coefficient vector length does not match the basis")
+                raise MismatchError("coefficient vector length does not match the basis")
 
     @cached_property
     def _hash(self) -> int:
@@ -362,7 +364,7 @@ def double_bracket(
     """
     fixed = tuple(sorted((int(a), int(k)) for a, k in fixed))
     if not fixed:
-        raise ValueError("needs at least one fixed insertion")
+        raise StabilityError("needs at least one fixed insertion")
     return _bracket_sum(t, fixed, trunc, engine or get_engine(t.target), extra_eps)
 
 

@@ -228,12 +228,9 @@ class CorrelatorEngine:
 
         The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
         block), else on phi_a with phi_gamma a plain slot (a flow block).
-        If the block of the other kernel sign is cached, this one is read
-        off it: 1/(z - psi) and 1/(-z - psi) differ by (-1)^{l+1} at
-        z^{-1-l}, so the numerators at odd z flip and no value is asked for.
-        Otherwise the block is built in one pass over the basis.  The key
-        is canonicalised once for the unchecked calls and checked once, by
-        the gamma = 0 call of ``correlator_with_kernel``: the other kernel
+        The block is built in one pass over the basis.  The key is
+        canonicalised once for the unchecked calls and checked once, by the
+        gamma = 0 call of ``correlator_with_kernel``: the other kernel
         correlators differ from it in gamma alone.  The ``_room`` the slots
         beside phi_gamma leave is worked out once, and only the gamma that
         fit it are reduced, each read through ``_kernel``.  Each value is
@@ -244,11 +241,6 @@ class CorrelatorEngine:
         ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
-        twin = self._blocks.get((beta, kernel_alpha, fixed, -sign))
-        if twin is not None:
-            block = {z: tuple((rho, -n, d) for rho, n, d in comps) if z % 2 else comps for z, comps in twin.items()}
-            self._blocks[key] = block
-            return block
         beta, fixed = canonical_key(beta, fixed)
         t = self.target
         if kernel_alpha is None:

@@ -1,5 +1,5 @@
 """Endomorphism-valued series: the solution operator as a matrix, its
-adjoint, and composition with the z sign flip.
+adjoint, the z sign flip and composition.
 
 Entries are sparse maps (z exponent, row, column, novikov, eps) ->
 rational.  Every matrix is built column by column, and a composition
@@ -29,6 +29,13 @@ class EndoSeries:
     target: TargetSpace
     trunc: Truncation
     entries: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Each nonzero entry is checked as a ``LoopSeries`` term is, once
+        with its row and once with its column as the basis index."""
+        live = [(key, val) for key, val in self.entries.items() if val]
+        LoopSeries(self.target, self.trunc, {(z, row, beta, eps): val for (z, row, _, beta, eps), val in live})
+        LoopSeries(self.target, self.trunc, {(z, col, beta, eps): val for (z, _, col, beta, eps), val in live})
 
     def coefficient(self, z, row, col, beta, eps) -> Fraction:
         return self.entries.get((z, row, col, beta, eps), Fraction(0))
@@ -87,28 +94,25 @@ def s_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None 
 
 
 def s_adjoint_matrix(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> EndoSeries:
-    """Adjoint of the solution operator with respect to the pairing:
+    """Adjoint of the solution operator with respect to the pairing, read as
+    ``flip_z`` of S*(-z), whose column a is S*(-z) phi_a:
 
         S*(z)(v) = v + sum Q^beta eps^n / n! <v, t, ..., t, phi_a/(z - psi)> phi^a.
     """
     basis = partial(LoopSeries.basis, t.target, trunc)
-    return _columns(t.target, trunc, lambda col: s_adjoint_corr_apply(t, basis(col), +1, trunc, engine))
+    return flip_z(_columns(t.target, trunc, lambda col: s_adjoint_corr_apply(t, basis(col), -1, trunc, engine)))
 
 
 def flip_z(e: EndoSeries) -> EndoSeries:
     """E(z) -> E(-z): sign (-1)^k on each z^k entry."""
-    entries = {
-        key: (-val if key[0] % 2 else val) for key, val in e.entries.items()
-    }
-    return EndoSeries(e.target, e.trunc, entries)
+    return EndoSeries(e.target, e.trunc, {key: -val if key[0] % 2 else val for key, val in e.entries.items()})
 
 
 def poincare_adjoint(e: EndoSeries) -> EndoSeries:
     """Entrywise adjoint with respect to the pairing: P^{-1} E^T P, so that
     (E x, y) = (x, adjoint(E) y) for every pair of vectors."""
     target = e.target
-    p = target.pairing
-    pinv = target.pairing_inverse
+    p, pinv = target.pairing, target.pairing_inverse
     sums: dict = {}
     for (z, row, col, beta, eps), val in e.entries.items():
         for r in range(target.rank):
@@ -119,8 +123,9 @@ def poincare_adjoint(e: EndoSeries) -> EndoSeries:
     return EndoSeries(target, e.trunc, read_out(sums))
 
 
-def compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) -> EndoSeries:
-    """Matrix product a(z) . b(+/-z), collecting every grade.
+def compose(a: EndoSeries, b: EndoSeries, trunc: Truncation) -> EndoSeries:
+    """Matrix product a(z) . b(z), collecting every grade; a product with
+    b(-z) composes with ``flip_z(b)``.
 
     The output window is the sum of the input windows, so no z term is
     dropped; grades beyond the Novikov/eps truncation are discarded
@@ -129,5 +134,4 @@ def compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) 
     if a.target != b.target:
         raise MismatchError("endomorphisms live over different targets")
     wide = replace(trunc, z_min=a.trunc.z_min + b.trunc.z_min, z_max=a.trunc.z_max + b.trunc.z_max)
-    b = flip_z(b) if flip_second else b
     return _columns(a.target, wide, lambda col: a.apply_linear(b.column(col), wide))

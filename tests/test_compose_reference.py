@@ -5,12 +5,13 @@ they replaced.
 ``_reference_add_entry``, ``_reference_columns``,
 ``_reference_poincare_adjoint`` and ``_reference_compose`` are the
 earlier ``EndoSeries.apply_linear``, ``identity_endo``, ``_add_entry``,
-``_columns``, ``poincare_adjoint`` and ``compose``, kept verbatim: the
-product walked every pair of entries with its own z-sign flip and its own
-accumulator, and ``apply_linear`` walked every term of f for every entry.
-Now ``apply_linear`` pairs an entry only with the fitting terms of its
-column and ``compose`` applies the first factor to each column of the
-(flipped) second.  Entries must be equal as dicts, ``apply_linear`` must
+``_columns``, ``poincare_adjoint`` and ``compose``, kept verbatim but for
+the name of the reference product's flip flag: the product walked every
+pair of entries with its own z-sign flip and its own accumulator, and
+``apply_linear`` walked every term of f for every entry.  Now
+``apply_linear`` pairs an entry only with the fitting terms of its column
+and ``compose`` applies the first factor to each column of the second; a
+flipped product composes with ``flip_z`` of the second.  Entries must be equal as dicts, ``apply_linear`` must
 give the same terms in the same order and the same first
 ``TruncationOverflowError``.
 """
@@ -29,6 +30,7 @@ from gwlab import (
     TruncationOverflowError,
     compose,
     default_truncation,
+    flip_z,
     get_engine,
     identity_endo,
     make_target,
@@ -94,7 +96,7 @@ def _reference_poincare_adjoint(e: EndoSeries) -> EndoSeries:
     return EndoSeries(target, e.trunc, entries)
 
 
-def _reference_compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: Truncation) -> EndoSeries:
+def _reference_compose(a: EndoSeries, b: EndoSeries, flip: bool, trunc: Truncation) -> EndoSeries:
     if a.target != b.target:
         raise MismatchError("endomorphisms live over different targets")
     wide = Truncation(
@@ -105,7 +107,7 @@ def _reference_compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: T
     )
     by_col: dict[int, list] = {}
     for (z, row, col, beta, eps), val in b.entries.items():
-        if flip_second and z % 2:
+        if flip and z % 2:
             val = -val
         by_col.setdefault(row, []).append((z, col, beta, eps, val))
     entries = {}
@@ -120,7 +122,7 @@ def _reference_compose(a: EndoSeries, b: EndoSeries, flip_second: bool, trunc: T
 
 def _assert_same_compose(a, b, trunc) -> None:
     for flip in (True, False):
-        got = compose(a, b, flip_second=flip, trunc=trunc)
+        got = compose(a, flip_z(b) if flip else b, trunc=trunc)
         ref = _reference_compose(a, b, flip, trunc)
         assert got.trunc == ref.trunc
         assert got.entries == ref.entries
@@ -143,7 +145,7 @@ def test_inverse_product_matches_reference(name, D, E, T, seed):
     assert list(s.entries.items()) == list(ref_s.entries.items())
     assert list(s_adj.entries.items()) == list(ref_adj.entries.items())
     _assert_same_compose(s, s_adj, trunc)
-    assert compose(s, s_adj, flip_second=True, trunc=trunc).is_identity()[0]
+    assert compose(s, flip_z(s_adj), trunc=trunc).is_identity()[0]
     assert poincare_adjoint(s).entries == _reference_poincare_adjoint(s).entries
     assert poincare_adjoint(s).entries == s_adj.entries
 
@@ -197,7 +199,7 @@ def test_random_products_with_cancellation_match_reference(name):
         for orders in ((2, 2), (2, 1), (1, 2), (0, 0)):
             trunc = Truncation(*orders, -1, 1)
             _assert_same_compose(a, b, trunc)
-            product = compose(a, b, flip_second=False, trunc=trunc)
+            product = compose(a, b, trunc=trunc)
             cancelled += len(_pair_keys(a, b, product.trunc)) - len(product.entries)
     assert cancelled >= 20
 

@@ -22,6 +22,7 @@ from gwlab import (
     universal_relation,
 )
 from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions, _expansions_by_dim
+from gwlab.correlators import StabilityError
 
 PT = make_target("point")
 P1 = make_target("P1")
@@ -399,3 +400,15 @@ def test_equal_t_hits_the_expansion_cache():
     hits = _expansions_by_dim.cache_info().hits
     assert _expansions_by_dim(TPolynomial.random(P1, 2, seed=19), 2) is groups
     assert _expansions_by_dim.cache_info().hits == hits + 1
+
+
+def test_coefficient_vector_of_the_wrong_length_is_a_mismatch():
+    with pytest.raises(MismatchError, match="coefficient vector length"):
+        TPolynomial(P1, ((Fraction(1),),))
+    with pytest.raises(MismatchError, match="coefficient vector length"):
+        TPolynomial(P2, ((Fraction(0),) * 3, (Fraction(1),) * 4))
+
+
+def test_double_bracket_without_a_fixed_insertion_is_unstable():
+    with pytest.raises(StabilityError, match="needs at least one fixed insertion"):
+        double_bracket(TPolynomial.random(P1, 1, 3), (), default_truncation(P1, 1, 2, 1))

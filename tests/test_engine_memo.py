@@ -11,6 +11,8 @@ what the memo must not change:
   reports alone on a fresh engine;
 - the S*(-z) matrix the inverse suite reads is, with z flipped, the
   S*(z) matrix it read before, entry for entry and in insertion order;
+  so is ``s_adjoint_matrix``, ``flip_z`` of S*(-z), and
+  neither it nor any suite asks for a fibre block of sign +1;
 - over many seeds and two configs on one engine the memo stays within
   its bound, and memory stays flat.
 """
@@ -26,8 +28,8 @@ import pytest
 from gwlab import checks, cli
 from gwlab.checks import _adjoint_at_minus_z, check_cone_in_tangent
 from gwlab.cone import TPolynomial, default_truncation, s_adjoint_corr_apply
-from gwlab.correlators import _EXPANSIONS_CACHE_SIZE, CorrelatorEngine
-from gwlab.matrices import _columns, compose, flip_z, s_matrix
+from gwlab.correlators import _EXPANSIONS_CACHE_SIZE, CorrelatorEngine, get_engine
+from gwlab.matrices import _columns, compose, flip_z, s_adjoint_matrix, s_matrix
 from gwlab.series import LoopSeries
 from gwlab.targets import beta_zero, make_target
 
@@ -128,10 +130,29 @@ def test_adjoint_at_minus_z_is_the_flipped_parent_matrix(name, D, E, T, seed, ta
     minus = _adjoint_at_minus_z(t, trunc, engine)
     parent = _parent_s_adjoint_matrix(t, trunc, CorrelatorEngine(target))
     assert list(flip_z(minus).entries.items()) == list(parent.entries.items())
+    assert list(s_adjoint_matrix(t, trunc, engine).entries.items()) == list(parent.entries.items())
     s = s_matrix(t, trunc, engine)
-    new = compose(s, minus, flip_second=False, trunc=trunc)
-    old = compose(s, parent, flip_second=True, trunc=trunc)
+    new = compose(s, minus, trunc=trunc)
+    old = compose(s, flip_z(parent), trunc=trunc)
     assert list(new.entries.items()) == list(old.entries.items())
+
+
+def _plus_fibre_blocks(engine) -> list:
+    return [key for key in engine._blocks if key[1] is None and key[3] == +1]
+
+
+def test_no_builder_asks_for_a_sign_plus_one_fibre_block(capsys):
+    get_engine.cache_clear()
+    argv = ["verify", "--suites", "all", "--target", "P2", "--D", "2", "--E", "3", "--T", "1", "--seed", "7"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    target, t, trunc = _setup("P2", 2, 3, 1, 7)
+    engine = get_engine(target)
+    assert engine._blocks and not _plus_fibre_blocks(engine)
+    fresh = CorrelatorEngine(target)
+    for engine in (engine, fresh):
+        s_adjoint_matrix(t, trunc, engine)
+        assert engine._blocks and not _plus_fibre_blocks(engine)
 
 
 # ---------------------------------------------------------------------------

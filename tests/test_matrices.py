@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from gwlab import (
     TPolynomial,
     compose,
@@ -14,7 +16,7 @@ from gwlab import (
     s_matrix,
 )
 from gwlab.matrices import EndoSeries
-from gwlab.series import Truncation
+from gwlab.series import MismatchError, Truncation, TruncationOverflowError
 from gwlab.targets import beta_zero
 
 PT = make_target("point")
@@ -55,7 +57,7 @@ def test_adjoint_is_poincare_transpose():
 def test_compose_identity_with_identity():
     tr = default_truncation(P2, 1, 1, 1)
     ident = identity_endo(P2, tr)
-    prod = compose(ident, ident, flip_second=False, trunc=tr)
+    prod = compose(ident, ident, trunc=tr)
     ok, bad = prod.is_identity()
     assert ok and not bad
 
@@ -81,10 +83,10 @@ def test_compose_associative_random():
         a = _random_endo(P1, tr, rng)
         b = _random_endo(P1, tr, rng)
         c = _random_endo(P1, tr, rng)
-        ab = compose(a, b, flip_second=False, trunc=tr)
-        bc = compose(b, c, flip_second=False, trunc=tr)
-        left = compose(ab, c, flip_second=False, trunc=tr)
-        right = compose(a, bc, flip_second=False, trunc=tr)
+        ab = compose(a, b, trunc=tr)
+        bc = compose(b, c, trunc=tr)
+        left = compose(ab, c, trunc=tr)
+        right = compose(a, bc, trunc=tr)
         assert left.entries == right.entries
 
 
@@ -107,7 +109,7 @@ def test_inverse_identity_all_targets():
         eng = get_engine(target)
         s = s_matrix(t, tr, eng)
         s_adj = s_adjoint_matrix(t, tr, eng)
-        prod = compose(s, s_adj, flip_second=True, trunc=tr)
+        prod = compose(s, flip_z(s_adj), trunc=tr)
         ok, bad = prod.is_identity()
         assert ok, (target.name, bad[:4])
 
@@ -123,3 +125,19 @@ def test_apply_linear_matches_column_action():
     for (z, row, col, beta, eps), val in mat.entries.items():
         if col == 1:
             assert shifted.coefficient(z + 2, row, beta, eps) == val
+
+
+def test_entries_are_checked_as_series_terms_are():
+    tr = default_truncation(P1, 2, 2, 1)
+    one = (0,) * P1.class_rank
+    with pytest.raises(MismatchError, match=r"novikov degree \(0, 0\) needs 1 entries"):
+        EndoSeries(P1, tr, {(0, 0, 0, (0, 0), 0): 1})
+    with pytest.raises(MismatchError, match="basis index 5"):
+        EndoSeries(P1, tr, {(0, 5, 0, one, 0): 1})
+    with pytest.raises(MismatchError, match="basis index 5"):
+        EndoSeries(P1, tr, {(0, 0, 5, one, 0): 1})
+    with pytest.raises(MismatchError, match="exceeds truncation"):
+        EndoSeries(P1, tr, {(0, 0, 0, one, 3): 1})
+    with pytest.raises(TruncationOverflowError):
+        EndoSeries(P1, tr, {(tr.z_max + 1, 0, 0, one, 0): 1})
+    assert EndoSeries(P1, tr, {(0, 0, 5, (0, 0), 0): 0}).entries  # a zero entry is not a term

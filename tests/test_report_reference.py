@@ -35,7 +35,7 @@ from gwlab.cone import (
 )
 from gwlab.correlators import CorrelatorEngine, get_engine, vdim
 from gwlab.localisation import enumerate_splittings, localisation_sum
-from gwlab.matrices import EndoSeries, compose, s_adjoint_matrix, s_matrix
+from gwlab.matrices import EndoSeries, compose, flip_z, s_adjoint_matrix, s_matrix
 from gwlab.series import LoopSeries, ScalarSeries, Truncation
 from gwlab.targets import TargetSpace, beta_add, beta_zero, iter_betas, make_target
 
@@ -149,7 +149,7 @@ def check_inverse(
     engine = engine or get_engine(t.target)
     s = s_matrix(t, trunc, engine)
     s_adj = s_adjoint_matrix(t, trunc, engine)
-    product = compose(s, s_adj, flip_second=True, trunc=trunc)
+    product = compose(s, flip_z(s_adj), trunc=trunc)
     ok, offenders = product.is_identity()
     failures = [
         {

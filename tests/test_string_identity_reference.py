@@ -25,6 +25,7 @@ from gwlab import (
     Truncation,
     compose,
     default_truncation,
+    flip_z,
     identity_endo,
     make_target,
     s_adjoint_matrix,
@@ -92,7 +93,7 @@ def _inverse_product(name, seed):
     t = TPolynomial.random(target, 1, seed)
     trunc = default_truncation(target, 2, 2, 1)
     engine = CorrelatorEngine(target)
-    return compose(s_matrix(t, trunc, engine), s_adjoint_matrix(t, trunc, engine), True, trunc)
+    return compose(s_matrix(t, trunc, engine), flip_z(s_adjoint_matrix(t, trunc, engine)), trunc)
 
 
 def _assert_same_verdict(product: EndoSeries) -> tuple:

@@ -34,7 +34,7 @@ from gwlab.cone import (
 )
 from gwlab.correlators import CorrelatorEngine, get_engine
 from gwlab.localisation import contribution, enumerate_splittings, localisation_sum
-from gwlab.matrices import EndoSeries, compose, s_adjoint_matrix, s_matrix
+from gwlab.matrices import EndoSeries, compose, flip_z, s_adjoint_matrix, s_matrix
 from gwlab.series import SeriesAccumulator, Truncation, TruncationOverflowError
 from gwlab.targets import iter_betas, make_target
 from test_s_apply_budget import _generic_f
@@ -137,7 +137,7 @@ def _builders(t, trunc, engine):
         ("localisation_sum", localisation_sum, (t, trunc, engine)),
         ("s_matrix", s_matrix, (t, trunc, engine)),
         ("s_adjoint_matrix", s_adjoint_matrix, (t, trunc, engine)),
-        ("compose", compose, (s, s_adj, True, trunc)),
+        ("compose", compose, (s, flip_z(s_adj), trunc)),
     ]
     return out
 

@@ -38,7 +38,7 @@ on a miss, so ``block.calls`` counts the blocks built and
 blocks asked for.  Every graded sum ends in ``series.merge``, so
 ``merge_calls`` counts the merged products; ``acc_add_calls`` counts only
 the direct ``SeriesAccumulator.add`` calls, which are the cone point's
-degree-zero pieces (208 in the default run), since the kernel sum,
+degree-zero pieces (194 in the default run), since the kernel sum,
 ``add_series`` and ``apply_linear`` merge their terms without it.
 """
 
