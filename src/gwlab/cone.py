@@ -18,9 +18,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import itemgetter
+from typing import NamedTuple
 
 from .correlators import (
-    _EXPANSIONS_CACHE_SIZE, CorrelatorEngine, StabilityError, canonical_key, get_engine, is_stable, vdim,
+    _EXPANSIONS_CACHE_SIZE, Block, CorrelatorEngine, StabilityError, canonical_key, get_engine, is_stable, vdim,
 )
 from .series import (
     LoopSeries,
@@ -155,6 +157,61 @@ def _stable_pairs(
                 yield beta, n
 
 
+class _Kernel(NamedTuple):
+    """The kernel blocks of one engine, as ``_kernel_sum`` reads them.
+
+    With ``sign`` None the flow kind, block(beta, a, monos) =
+    ``engine.flow_block(beta, a, monos)``; else the fibre kind of that
+    sign, block(beta, slot, monos) = ``engine.fibre_block(beta, monos +
+    slot, sign)``.  Both are looked up on the engine at call time.
+    """
+
+    engine: CorrelatorEngine
+    sign: int | None = None
+
+    def __call__(self, beta, key, monos) -> Block:
+        if self.sign is None:
+            return self.engine.flow_block(beta, key, monos)
+        return self.engine.fibre_block(beta, monos + key, self.sign)
+
+    def room(self, beta, key) -> int:
+        """The ``_room`` of the key's own slots.  The block of n t-insertions
+        of dimension d has room this + n - d, and is empty when that is
+        negative."""
+        return self.engine._room(beta, ((key, 0),) if self.sign is None else key)
+
+
+def _slice(t: TPolynomial, beta, n: int, key, block) -> tuple:
+    """The kernel slice sum weight * block(beta, key, monos) over the
+    expansions (weight, monos) of n t-slots, summed on integers by ``merge``.
+
+    A ``_Kernel`` is not asked for the block of an expansion whose
+    dimension, the sum of deg a + k over monos, leaves it no ``room``;
+    any other callable is asked for every block.  The slice is a tuple of runs (i, z_k, comps): comps are the
+    (rho, num, den) whose first product came from the block of expansion
+    i, at z_k, in the order of that block, and the runs come in the order
+    of those first products.  A sum that cancels keeps its place, with
+    num 0.  Being tuples of integers, kept slices are left alone by the
+    garbage collector.
+    """
+    sums: dict = {}
+    first: dict = {}
+    cap = block.room(beta, key) + n if isinstance(block, _Kernel) else None
+    degree = t.target.basis_degrees
+    for i, (weight, monos) in enumerate(_expansions(t, n)):
+        if cap is not None and sum(degree[a] + k for a, k in monos) > cap:
+            continue
+        wn, wd = weight.numerator, weight.denominator
+        for z_k, comps in block(beta, key, monos).items():
+            for rho, cn, cd in comps:
+                first.setdefault((z_k, rho), i)
+                merge(sums, (z_k, rho), wn * cn, wd * cd)
+    runs: dict = {}
+    for (z_k, rho), i in first.items():
+        runs.setdefault((i, z_k), []).append((rho, *sums[z_k, rho]))
+    return tuple((i, z_k, tuple(comps)) for (i, z_k), comps in runs.items())
+
+
 def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) -> None:
     """Add sum Q^beta eps^n / n! (operand paired with a kernel block) to acc.
 
@@ -167,42 +224,49 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     whose own grade leaves room for it within the truncation; a grade that
     meets none builds no block.
 
-    The products are summed on integer numerators by ``series.merge``,
-    per output key, into a sum of this call's own; then each key whose
-    sum is nonzero is merged into acc once, in the order of its first
-    product: the order in which adding every product to acc would have
-    inserted the surviving keys.  No ``Fraction`` is formed here.
+    Each term meets the ``_slice`` of its key, the sum over the weighted
+    blocks, once.  A ``_Kernel`` keeps its slices in its engine's
+    ``shared`` memo, one store per t and kind, and asks only for the
+    blocks its ``room`` admits; any other callable's slices last for this
+    call.  The products are summed on integer numerators by
+    ``series.merge``, per output key, into a sum of this call's own; per
+    grade the runs are walked in (first expansion, operand index, run)
+    order, and a slice sum that cancelled still places its keys, so each
+    key first appears where its first product over the blocks would have
+    put it.  Then each key whose sum is nonzero is merged into acc once,
+    in that order.  No ``Fraction`` is formed here.
     """
     D, E = acc.trunc.novikov_order, acc.trunc.epsilon_order
     graded = [
         (key, [(z, b, beta_total(b), e, c.numerator, c.denominator) for z, b, e, c in terms if c])
         for key, terms in operand
     ]
+    kept = block.engine.shared((_slice, t, block.sign), dict) if isinstance(block, _Kernel) else {}
     sums: dict[tuple, list[int]] = {}
     for beta, n in grades:
         room_beta, room_eps = D - beta_total(beta), E - n
-        fitting = []
-        for key, terms in graded:
+        walk = []
+        for j, (key, terms) in enumerate(graded):
             fits = [
                 (z, beta_add(b, beta), e + n, cn, cd)
                 for z, b, deg, e, cn, cd in terms
                 if deg <= room_beta and e <= room_eps
             ]
-            if fits:
-                fitting.append((key, fits))
-        if not fitting:
-            continue
-        for weight, monos in _expansions(t, n):
-            wn, wd = weight.numerator, weight.denominator
-            for key, fits in fitting:
-                kernel = block(beta, key, monos)
-                if not kernel:
-                    continue
-                scaled = [(z, b, e, cn * wn, cd * wd) for z, b, e, cn, cd in fits]
-                for z_k, comps in kernel.items():
-                    for z, b, e, p, q in scaled:
-                        for rho, cp, cq in comps:
-                            merge(sums, (z + z_k, rho, b, e), p * cp, q * cq)
+            if not fits:
+                continue
+            runs = kept.get((beta, n, key))
+            if runs is None:
+                runs = kept[beta, n, key] = _slice(t, beta, n, key, block)
+            walk += [(i, j, g, z_k, comps, fits) for g, (i, z_k, comps) in enumerate(runs)]
+        walk.sort(key=itemgetter(0, 1, 2))
+        for _, _, _, z_k, comps, fits in walk:
+            for z, b, e, cn, cd in fits:
+                z += z_k
+                for rho, sn, sd in comps:
+                    if sn:
+                        merge(sums, (z, rho, b, e), cn * sn, cd * sd)
+                    else:
+                        sums.setdefault((z, rho, b, e), [0, 1])
     for key, (num, den) in sums.items():
         if num:
             acc.merge(key, num, den)
@@ -251,10 +315,7 @@ def _cone_grade(acc: SeriesAccumulator, t: TPolynomial, beta, n: int, engine: Co
         for k, alpha, c in t.monomials():
             acc.add(k, alpha, b0, 1, c)
     else:
-        _kernel_sum(
-            acc, t, [(beta, n)], [((), [(0, b0, 0, Fraction(1))])],
-            lambda b, slot, monos: engine.fibre_block(b, monos + slot, -1),
-        )
+        _kernel_sum(acc, t, [(beta, n)], [((), [(0, b0, 0, Fraction(1))])], _Kernel(engine, -1))
 
 
 def s_apply(
@@ -278,7 +339,7 @@ def s_apply(
     by_alpha: dict[int, list] = {}
     for (z, alpha, beta_f, eps_f), c in f.terms.items():
         by_alpha.setdefault(alpha, []).append((z, beta_f, eps_f, c))
-    _kernel_sum(acc, t, _stable_pairs(t.target, trunc, 2), list(by_alpha.items()), engine.flow_block)
+    _kernel_sum(acc, t, _stable_pairs(t.target, trunc, 2), list(by_alpha.items()), _Kernel(engine))
     return acc.series()
 
 
@@ -307,10 +368,7 @@ def s_adjoint_corr_apply(
         (((alpha, z_r),), [(0, beta_r, eps_r, c)])
         for (z_r, alpha, beta_r, eps_r), c in r.terms.items()
     ]
-    _kernel_sum(
-        acc, t, _stable_pairs(t.target, trunc, 2), slots,
-        lambda beta, slot, monos: engine.fibre_block(beta, monos + slot, sign),
-    )
+    _kernel_sum(acc, t, _stable_pairs(t.target, trunc, 2), slots, _Kernel(engine, sign))
     return acc.series()
 
 

@@ -78,7 +78,8 @@ Block = dict[int, tuple[tuple[int, int, int], ...]]
 # Entries are keyed by t, so an unbounded cache would keep every t a
 # long-lived process has seen; a few dozen covers the working set of one
 # verify run: one t, with n up to the eps order in ``cone._expansions``,
-# and the values the suites share in ``CorrelatorEngine.shared``.
+# and the values the suites share in ``CorrelatorEngine.shared``, with a
+# store of kernel slices per kind of ``cone._kernel_sum``.
 _EXPANSIONS_CACHE_SIZE = 64
 
 
@@ -142,7 +143,7 @@ class CorrelatorEngine:
         return cached if cached is not None else self._guarded(key, self._eval, beta, ins)
 
     def shared(self, key, build):
-        """build(), the value that several suites read, kept under key.
+        """build(), the value that several suites or kernel sums read, kept under key.
 
         Values are held only for the life of the engine; as keys hold t,
         at most ``_EXPANSIONS_CACHE_SIZE`` are kept, the least recently
@@ -228,44 +229,40 @@ class CorrelatorEngine:
 
         The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
         block), else on phi_a with phi_gamma a plain slot (a flow block).
-        The block is built in one pass over the basis.  The key is
-        canonicalised once for the unchecked calls and checked once, by the
-        gamma = 0 call of ``correlator_with_kernel``: the other kernel
-        correlators differ from it in gamma alone.  The ``_room`` the slots
+        The block is built in one pass over the basis, at the cost of its
+        values.  The key is canonicalised once and checked once, as
+        ``correlator_with_kernel`` checks the gamma = 0 kernel correlator:
+        the others differ from it in gamma alone.  The ``_room`` the slots
         beside phi_gamma leave is worked out once, and only the gamma that
-        fit it are reduced, each read through ``_kernel``.  Each value is
-        merged on integer pairs along the sparse ``dual_terms`` of
-        phi^gamma; these are independent, so no z-exponent a value reaches
-        sums to the zero vector.  The nonzero sums are cached unreduced, in
-        the ``Block`` format that ``cone._kernel_sum`` reads, and no
-        ``Fraction`` is formed.
+        fit it, gamma = 0 among them, are reduced, each read through
+        ``_kernel``.  Each value is merged on integer pairs along the sparse
+        ``dual_terms`` of phi^gamma; these are independent, so no
+        z-exponent a value reaches sums to the zero vector.  The nonzero
+        sums are cached unreduced, in the ``Block`` format that
+        ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
         beta, fixed = canonical_key(beta, fixed)
-        t = self.target
-        if kernel_alpha is None:
-            first = self.correlator_with_kernel(beta, fixed, 0, sign)
-            room = self._room(beta, fixed)
-        else:
-            first = self.correlator_with_kernel(beta, fixed + ((0, 0),), kernel_alpha, sign)
-            room = self._room(beta, fixed + ((kernel_alpha, 0),))
+        kernel = () if kernel_alpha is None else ((kernel_alpha, 0),)
+        # The gamma = 0 kernel correlator's insertions, as correlator_with_kernel checks them.
+        checked = fixed + ((0, 0),) if kernel_alpha is None else tuple(sorted(fixed + ((0, 0),))) + kernel
+        self._check_key(beta, checked)
+        if not is_stable(beta, len(checked)):
+            raise StabilityError(f"kernel correlator unstable: beta={beta}, {len(checked)} insertions")
+        room = self._room(beta, fixed + kernel)
         sums: dict[int, dict] = {}
         deg = self._degrees
-        for gamma, dual in enumerate(t.dual_terms):
-            if gamma:
-                l = room - deg[gamma]
-                if l < 0:
-                    continue
-                slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
-                val = self._kernel(beta, fixed + slots, l, sign)
-                kernel = ((-1 - l, val),) if val else ()
-            else:
-                kernel = first.items()
-            for z_exp, val in kernel:
-                vec = sums.setdefault(z_exp, {})
+        for gamma, dual in enumerate(self.target.dual_terms):
+            l = room - deg[gamma]
+            if l < 0:
+                continue
+            slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
+            val = self._kernel(beta, fixed + slots, l, sign)
+            if val:
+                vec, vn, vd = sums.setdefault(-1 - l, {}), val.numerator, val.denominator
                 for rho, (cn, cd) in dual:
-                    merge(vec, rho, val.numerator * cn, val.denominator * cd)
-        block = {z: tuple((rho, n, d) for rho, (n, d) in sorted(vec.items()) if n) for z, vec in sums.items()}
+                    merge(vec, rho, vn * cn, vd * cd)
+        block = {z: tuple([(rho, n, d) for rho, (n, d) in sorted(vec.items()) if n]) for z, vec in sums.items()}
         self._blocks[key] = block
         return block
 

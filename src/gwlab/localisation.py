@@ -30,7 +30,7 @@ from math import factorial
 
 from . import oracles
 from .checks import CheckReport, _cone_transform, _report, _timed
-from .cone import TPolynomial, _cone_grade, _kernel_sum, cone_point, dilaton_shift, s_apply
+from .cone import TPolynomial, _cone_grade, _Kernel, _kernel_sum, cone_point, dilaton_shift, s_apply
 from .correlators import CorrelatorEngine, get_engine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
 from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, beta_zero, iter_betas
@@ -113,7 +113,7 @@ def contribution(
     if inf_end:
         # Fibre kernels of different t-expansions can cancel at a term; ``terms`` holds no zero.
         piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
-        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
+        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, _Kernel(engine))
     return acc.series()
 
 

@@ -15,9 +15,8 @@ blocks, raise the same errors with the same messages, and leave
 ``_blocks`` and ``_values`` with the same items in the same order: over
 direct block calls (malformed and unstable keys among them, and a key
 deeper than the recursion limit) and over every builder that reads a
-block.  A miss must still make exactly one ``correlator_with_kernel``
-call, the gamma = 0 one, and a hit none: the benchmark's tracer counts
-block hits by that call.
+block.  A miss checks its key once and reads every kernel value, gamma = 0
+among them, through ``_kernel``; a hit asks for nothing.
 """
 
 from fractions import Fraction
@@ -240,20 +239,26 @@ def test_builders_match_reference(name, D, E, T, seed):
 # the calls a block makes
 
 
-def test_miss_asks_correlator_with_kernel_once_and_a_hit_never(monkeypatch):
+def test_miss_checks_its_key_once_and_a_hit_asks_nothing(monkeypatch):
     asked = []
-    real = CorrelatorEngine.correlator_with_kernel
-
-    def counted(self, beta, fixed, kernel_alpha, sign):
-        asked.append((beta, tuple(fixed), kernel_alpha))
-        return real(self, beta, fixed, kernel_alpha, sign)
-
-    monkeypatch.setattr(CorrelatorEngine, "correlator_with_kernel", counted)
+    for name in ("_check_key", "correlator_with_kernel", "_kernel"):
+        real = getattr(CorrelatorEngine, name)
+        counted = lambda self, *args, name=name, real=real: asked.append((name, args)) or real(self, *args)
+        monkeypatch.setattr(CorrelatorEngine, name, counted)
     engine = CorrelatorEngine(make_target("P2"))
     engine.fibre_block((2,), ((2, 1),), -1)
     engine.flow_block((1,), 1, ((2, 0), (1, 0)))
-    # gamma = 0: the kernel on phi_0 for a fibre block, the plain slot phi_0 for a flow block
-    assert asked == [((2,), ((2, 1),), 0), ((1,), ((1, 0), (2, 0), (0, 0)), 1)]
+    # The key as the gamma = 0 kernel correlator has it: the kernel on phi_0
+    # for a fibre block, the plain slot phi_0 beside the kernel for a flow block.
+    assert [args for name, args in asked if name == "_check_key"] == [
+        ((2,), ((2, 1), (0, 0))),
+        ((1,), ((0, 0), (1, 0), (2, 0), (1, 0))),
+    ]
+    # Every class fits both kernels, so each value is read through _kernel, gamma = 0 first.
+    assert [args[1][-1] for name, args in asked if name == "_kernel"] == [
+        (0, 4), (1, 3), (2, 2), (1, 2), (1, 1), (1, 0),
+    ]
+    assert len(asked) == 8
     engine.fibre_block((2,), ((2, 1),), -1)
     engine.flow_block((1,), 1, ((1, 0), (2, 0)))
-    assert len(asked) == 2
+    assert len(asked) == 8

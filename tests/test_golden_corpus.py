@@ -1,6 +1,7 @@
 """Every run of the golden corpus prints what it printed when
 ``tests/golden_corpus.json`` was written: the same exit code and the same
-stdout and stderr, timing fields blanked, compared by digest.
+stdout and stderr, timing fields blanked, compared by digest.  Under each
+fault of ``tests/test_fault_matrix.py`` some run prints something else.
 
 ``tools/golden_corpus.py`` lists the runs and rewrites the file.  A change
 that alters an output on purpose rewrites it and says which runs moved.
@@ -10,7 +11,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from gwlab.correlators import get_engine
+from test_fault_matrix import FAULTS, _clear_caches
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "golden_corpus.py"
@@ -32,3 +36,20 @@ def test_the_golden_corpus_is_unchanged():
     for run in want:
         got = tool.digest(run["argv"])
         assert got == run, "first run that differs: " + " ".join(run["argv"])
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_the_golden_corpus_sees_every_fault(fault, monkeypatch):
+    bindings, _ = FAULTS[fault]
+    tool = _tool()
+    want = json.loads(_FILE.read_text())
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            for owner, name, wrap in bindings:
+                patch.setattr(owner, name, wrap(getattr(owner, name)))
+            # The first run that differs, if any: the rest need not run.
+            moved = next((run["argv"] for run in want if tool.digest(run["argv"]) != run), None)
+    finally:
+        _clear_caches()
+    assert moved is not None, f"no run of the golden corpus sees the fault {fault}"

@@ -20,6 +20,7 @@ def test_layers_partition_the_profiled_time():
     assert abs(sum(v["s"] for v in report["layers"].values()) - report["total_s"]) < 0.01
     assert all(report["layers"][name]["s"] > 0 for name in ("reduction", "block_assembly", "accumulation", "linear_algebra"))
     assert report["block_requests"] >= report["block"]["calls"] > 0 and report["kernel_sum"]["calls"] > 0
+    assert report["slices"] > 0
     assert report["merge_calls"] > 0
     assert report["fraction_new_calls"] > 0
     assert 0 < report["fraction_own_share"] < 1

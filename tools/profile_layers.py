@@ -9,8 +9,9 @@ discarded.  Each gwlab function belongs to one layer:
 - ``block_assembly``: the fibre and flow kernel blocks, ``_block`` and the
   kernel correlators it asks for, up to the reduction they start;
 - ``accumulation``: graded series accumulation and convolution in
-  ``series.py``, ``cone.py``, ``localisation.py`` and the matrix builders
-  of ``matrices.py``;
+  ``series.py``, ``cone.py`` (the kernel slices ``cone._slice`` builds
+  among them), ``localisation.py`` and the matrix builders of
+  ``matrices.py``;
 - ``linear_algebra``: ``_solve_membership`` and its elimination,
   ``compose`` with the ``apply_linear`` and ``column`` it runs, and
   ``omega``;
@@ -35,11 +36,13 @@ calls and cumulative share of ``CorrelatorEngine._block`` and
 ``flow_block`` serve a cached block themselves and enter ``_block`` only
 on a miss, so ``block.calls`` counts the blocks built and
 ``block_requests``, the calls of ``fibre_block`` plus ``flow_block``, the
-blocks asked for.  Every graded sum ends in ``series.merge``, so
-``merge_calls`` counts the merged products; ``acc_add_calls`` counts only
-the direct ``SeriesAccumulator.add`` calls, which are the cone point's
-degree-zero pieces (194 in the default run), since the kernel sum,
-``add_series`` and ``apply_linear`` merge their terms without it.
+blocks asked for; ``slices``, the calls of ``cone._slice``, counts the
+kernel slices built, each of which asks for its blocks once.  Every
+graded sum ends in ``series.merge``, so ``merge_calls`` counts the merged
+products; ``acc_add_calls`` counts only the direct
+``SeriesAccumulator.add`` calls, which are the cone point's degree-zero
+pieces (194 in the default run), since the kernel sum, ``add_series`` and
+``apply_linear`` merge their terms without it.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ def profile(args: list[str]) -> dict:
         "block_requests": _calls(stats, correlators.CorrelatorEngine.fibre_block)
         + _calls(stats, correlators.CorrelatorEngine.flow_block),
         "block": {"calls": block_calls, "cum_s": round(block_cum, 3), "share": round(block_cum / total, 3)},
+        "slices": _calls(stats, cone._slice),
         "kernel_sum": {"calls": sum_calls, "cum_s": round(sum_cum, 3), "share": round(sum_cum / total, 3)},
         "acc_add_calls": _calls(stats, series.SeriesAccumulator.add),
         "merge_calls": _calls(stats, series.merge),
