@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 from . import cone, matrices, oracles
 from .cone import (
@@ -31,8 +32,8 @@ from .cone import (
 )
 from .correlators import CorrelatorEngine, get_engine, vdim
 from .matrices import EndoSeries, _columns, compose, s_matrix
-from .series import LoopSeries, ScalarSeries, Truncation, coefficient_record, fraction_record, summed
-from .targets import TargetSpace, beta_add, beta_zero, iter_betas, make_target
+from .series import LoopSeries, MismatchError, ScalarSeries, Truncation, coefficient_record, fraction_record, summed
+from .targets import TargetSpace, beta_add, beta_total, beta_zero, iter_betas, make_target
 
 
 @dataclass
@@ -371,6 +372,8 @@ def check_lagrangian(
     form is what turns the first one into S*(z) r(-z).  The correlator
     slot keeps r(psi) either way, since psi is not the flipped variable.
     """
+    if j_max < 0:
+        raise MismatchError(f"j_max must be non-negative, got {j_max}: no basis monomial to pair")
     target = t.target
     failures = []
     images = {
@@ -388,21 +391,38 @@ def check_lagrangian(
 # Tangent membership and the empirical span check.
 
 
+def _integral(vec: dict) -> dict:
+    """vec times the lcm of its denominators: integer entries, zeros dropped."""
+    ratios = [(key, val.as_integer_ratio()) for key, val in vec.items()]
+    m = lcm(*(d for _, (_, d) in ratios))
+    return {key: n * (m // d) for key, (n, d) in ratios if n}
+
+
 def _reduce(vec: dict, pivots: list[tuple]) -> dict:
-    """What is left of vec after walking pivots in order, subtracting at
-    each pivot the multiple that clears its lead key."""
-    rem = {key: val for key, val in vec.items() if val}
+    """What is left of the integer vector vec after walking pivots in
+    order, clearing each pivot's lead key fraction-free: with r/p the
+    lead ratio in lowest terms, rem becomes p*rem - r*piv, and a scaled
+    rem is divided by the gcd of its entries.  rem is always a nonzero
+    integer multiple of the exact rational remainder."""
+    rem = dict(vec)
     for lead, piv in pivots:
-        f = rem.get(lead)
-        if not f:
+        r = rem.get(lead)
+        if not r:
             continue
-        f /= piv[lead]
+        p = piv[lead]
+        g = gcd(r, p) if p > 0 else -gcd(r, p)
+        r, p = r // g, p // g
+        if p != 1:
+            rem = {key: p * val for key, val in rem.items()}
         for key, val in piv.items():
-            x = rem.get(key, 0) - f * val
+            x = rem.get(key, 0) - r * val
             if x:
                 rem[key] = x
             else:
                 rem.pop(key, None)
+        g = gcd(*rem.values()) if p != 1 else 1
+        if g > 1:
+            rem = {key: val // g for key, val in rem.items()}
     return rem
 
 
@@ -438,8 +458,9 @@ def _solve_membership(columns: list[dict], targets: list[dict]) -> tuple[int, li
     """Exact rank of the column span and membership of each target vector.
 
     Vectors are sparse maps key -> Fraction over an arbitrary index set;
-    zero entries and empty columns are dropped first.  The tangent check's
-    columns are S*(-z) phi_rho shifted by z^j Q^beta eps^e, and S*(-z) is
+    ``_integral`` scales each to integers and drops zero entries, then
+    empty columns are dropped.  The tangent check's columns are
+    S*(-z) phi_rho shifted by z^j Q^beta eps^e, and S*(-z) is
     the identity plus terms of positive (Q, eps) grade, so each column's
     lowest-grade term is phi_rho z^j Q^beta eps^e with coefficient 1 and
     the columns are triangular up to order.  ``_peel`` finds that order:
@@ -454,7 +475,7 @@ def _solve_membership(columns: list[dict], targets: list[dict]) -> tuple[int, li
     key; rank is the number of pivots.  Both paths are exact, so rank and
     flags never depend on which one ran.
     """
-    columns = [col for col in ({k: v for k, v in c.items() if v} for c in columns) if col]
+    columns = [col for col in map(_integral, columns) if col]
     pivots = _peel(columns)
     if pivots is None:
         pivots = []
@@ -462,7 +483,7 @@ def _solve_membership(columns: list[dict], targets: list[dict]) -> tuple[int, li
             rem = _reduce(col, pivots)
             if rem:
                 pivots.append((min(rem), rem))
-    return len(pivots), [not _reduce(vec, pivots) for vec in targets]
+    return len(pivots), [not _reduce(_integral(vec), pivots) for vec in targets]
 
 
 @_timed
@@ -509,14 +530,17 @@ def check_cone_in_tangent(
     targets_vecs = [(tangent(alpha, k) if k else base[alpha]).terms for alpha, k in labels]
     columns = []
     for vec in base:
+        # Each term's grade totals once; a shift keeps the terms whose
+        # totals leave room for it.
+        graded = [(z, a, b, beta_total(b), e, val) for (z, a, b, e), val in vec.terms.items()]
         for j in range(max(t.degree, 1) + 1):
             for beta in iter_betas(target.class_rank, trunc.novikov_order):
+                room = trunc.novikov_order - beta_total(beta)
+                moved = [(z + j, a, beta_add(b, beta) if any(beta) else b, e, val)
+                         for z, a, b, d, e, val in graded if d <= room]
                 for eps in range(trunc.epsilon_order + 1):
-                    shifted = {}
-                    for (z, a, b, e), val in vec.terms.items():
-                        nb = beta_add(b, beta)
-                        if trunc.admits_grade(nb, e + eps):
-                            shifted[(z + j, a, nb, e + eps)] = val
+                    e_room = trunc.epsilon_order - eps
+                    shifted = {(z, a, b, e + eps): val for z, a, b, e, val in moved if e <= e_room}
                     if shifted:
                         columns.append(shifted)
     rank, in_span = _solve_membership(columns, targets_vecs)

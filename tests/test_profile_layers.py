@@ -2,8 +2,10 @@
 partition its time."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
+from gwlab import checks
 from gwlab.correlators import get_engine
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "profile_layers.py"
@@ -24,3 +26,28 @@ def test_layers_partition_the_profiled_time():
     assert report["merge_calls"] > 0
     assert report["fraction_new_calls"] > 0
     assert 0 < report["fraction_own_share"] < 1
+
+
+def _called_names(code) -> set[str]:
+    """Global names a code object reads, its nested comprehensions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _called_names(const)
+    return names
+
+
+def test_every_helper_of_the_span_solve_is_linear_algebra():
+    spec = importlib.util.spec_from_file_location("profile_layers", _PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seen, todo = set(), ["_solve_membership"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for called in _called_names(getattr(checks, name).__code__) - seen:
+            obj = getattr(checks, called, None)
+            if inspect.isfunction(obj) and obj.__module__ == checks.__name__:
+                todo.append(called)
+    assert {"_solve_membership", "_integral", "_peel", "_reduce"} <= seen
+    assert {name: tool._NAMED.get(name) for name in seen} == dict.fromkeys(seen, "linear_algebra")

@@ -12,9 +12,10 @@ discarded.  Each gwlab function belongs to one layer:
   ``series.py``, ``cone.py`` (the kernel slices ``cone._slice`` builds
   among them), ``localisation.py`` and the matrix builders of
   ``matrices.py``;
-- ``linear_algebra``: ``_solve_membership`` and its elimination,
-  ``compose`` with the ``apply_linear`` and ``column`` it runs, and
-  ``omega``;
+- ``linear_algebra``: ``_solve_membership`` with the helpers it calls
+  (``_integral``, the lcm scaler, ``_peel`` and the elimination
+  ``_reduce``), ``compose`` with the ``apply_linear`` and ``column`` it
+  runs, and ``omega``;
 
 and the rest (suite bookkeeping, the CLI) is ``other``.  A function
 outside those modules -- ``Fraction`` arithmetic, builtins, the target's
@@ -70,7 +71,7 @@ _NAMED = {
          "CorrelatorEngine.correlator_with_kernel", "CorrelatorEngine._kernel", "CorrelatorEngine._room"),
         "block_assembly",
     ),
-    **dict.fromkeys(("_solve_membership", "_peel", "_reduce"), "linear_algebra"),
+    **dict.fromkeys(("_solve_membership", "_integral", "_peel", "_reduce"), "linear_algebra"),
     **dict.fromkeys(
         ("compose", "EndoSeries.apply_linear", "EndoSeries.column", "LoopSeries.omega"), "linear_algebra"
     ),
