@@ -336,7 +336,7 @@ def check_universal_relations(
     The relations share most of their brackets, so each distinct bracket
     is computed once per call and dropped when the call returns."""
     if k_max < 2:
-        raise ValueError("relations start at k = 2")
+        raise MismatchError("relations start at k = 2")
     brackets: dict = {}
 
     def bracket(fixed, extra_eps):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -336,12 +337,16 @@ def _cmd_correlator(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"verify": _cmd_verify, "series": _cmd_series}.get(args.command, _cmd_correlator)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        return _cmd_correlator(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # stdout was closed early: point it at devnull, so that the interpreter's final flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"usage error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, InvalidKeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

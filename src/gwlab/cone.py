@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .correlators import (
@@ -182,34 +181,23 @@ class _Kernel(NamedTuple):
 
 
 def _slice(t: TPolynomial, beta, n: int, key, block) -> tuple:
-    """The kernel slice sum weight * block(beta, key, monos) over the
-    expansions (weight, monos) of n t-slots, summed on integers by ``merge``.
-
-    A ``_Kernel`` is not asked for the block of an expansion whose
-    dimension, the sum of deg a + k over monos, leaves it no ``room``;
-    any other callable is asked for every block.  The slice is a tuple of runs (i, z_k, comps): comps are the
-    (rho, num, den) whose first product came from the block of expansion
-    i, at z_k, in the order of that block, and the runs come in the order
-    of those first products.  A sum that cancels keeps its place, with
-    num 0.  Being tuples of integers, kept slices are left alone by the
-    garbage collector.
+    """The kernel slice, sum weight * block(beta, key, monos) over the
+    expansions (weight, monos) of n t-slots, as its nonzero integer sums
+    (z_k, rho, num, den).  A ``_Kernel`` is not asked for a block whose
+    expansion's dimension, the sum of deg a + k over monos, leaves it no
+    ``room``.  Kept slices, tuples of integers, are not tracked by the garbage collector.
     """
     sums: dict = {}
-    first: dict = {}
     cap = block.room(beta, key) + n if isinstance(block, _Kernel) else None
     degree = t.target.basis_degrees
-    for i, (weight, monos) in enumerate(_expansions(t, n)):
+    for weight, monos in _expansions(t, n):
         if cap is not None and sum(degree[a] + k for a, k in monos) > cap:
             continue
         wn, wd = weight.numerator, weight.denominator
         for z_k, comps in block(beta, key, monos).items():
             for rho, cn, cd in comps:
-                first.setdefault((z_k, rho), i)
                 merge(sums, (z_k, rho), wn * cn, wd * cd)
-    runs: dict = {}
-    for (z_k, rho), i in first.items():
-        runs.setdefault((i, z_k), []).append((rho, *sums[z_k, rho]))
-    return tuple((i, z_k, tuple(comps)) for (i, z_k), comps in runs.items())
+    return tuple((z_k, rho, num, den) for (z_k, rho), (num, den) in sums.items() if num)
 
 
 def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) -> None:
@@ -220,21 +208,13 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     monos)`` is the kernel, a ``correlators.Block`` (z_k -> its nonzero
     (rho, num, den)), for the operand key and the n t-insertions ``monos``.
     Each term adds c * weight * block at z_out + z_k in grade (beta_o +
-    beta, eps_o + n).  Grades add, so a kernel grade meets only the terms
-    whose own grade leaves room for it within the truncation; a grade that
-    meets none builds no block.
+    beta, eps_o + n), and meets only the kernel grades that leave it room
+    within the truncation; a grade that meets no term builds no block.
 
-    Each term meets the ``_slice`` of its key, the sum over the weighted
-    blocks, once.  A ``_Kernel`` keeps its slices in its engine's
-    ``shared`` memo, one store per t and kind, and asks only for the
-    blocks its ``room`` admits; any other callable's slices last for this
-    call.  The products are summed on integer numerators by
-    ``series.merge``, per output key, into a sum of this call's own; per
-    grade the runs are walked in (first expansion, operand index, run)
-    order, and a slice sum that cancelled still places its keys, so each
-    key first appears where its first product over the blocks would have
-    put it.  Then each key whose sum is nonzero is merged into acc once,
-    in that order.  No ``Fraction`` is formed here.
+    A term meets the ``_slice`` of its key once; a ``_Kernel`` keeps its
+    slices in its engine's ``shared`` memo, one store per t and kind.  The
+    products are summed on integers by ``series.merge`` into this call's
+    own sums, then each nonzero sum into acc once; no ``Fraction`` forms.
     """
     D, E = acc.trunc.novikov_order, acc.trunc.epsilon_order
     graded = [
@@ -245,28 +225,17 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
     sums: dict[tuple, list[int]] = {}
     for beta, n in grades:
         room_beta, room_eps = D - beta_total(beta), E - n
-        walk = []
-        for j, (key, terms) in enumerate(graded):
-            fits = [
-                (z, beta_add(b, beta), e + n, cn, cd)
-                for z, b, deg, e, cn, cd in terms
-                if deg <= room_beta and e <= room_eps
-            ]
+        for key, terms in graded:
+            fits = [(z, beta_add(b, beta), e + n, cn, cd)
+                    for z, b, deg, e, cn, cd in terms if deg <= room_beta and e <= room_eps]
             if not fits:
                 continue
-            runs = kept.get((beta, n, key))
-            if runs is None:
-                runs = kept[beta, n, key] = _slice(t, beta, n, key, block)
-            walk += [(i, j, g, z_k, comps, fits) for g, (i, z_k, comps) in enumerate(runs)]
-        walk.sort(key=itemgetter(0, 1, 2))
-        for _, _, _, z_k, comps, fits in walk:
-            for z, b, e, cn, cd in fits:
-                z += z_k
-                for rho, sn, sd in comps:
-                    if sn:
-                        merge(sums, (z, rho, b, e), cn * sn, cd * sd)
-                    else:
-                        sums.setdefault((z, rho, b, e), [0, 1])
+            entries = kept.get((beta, n, key))
+            if entries is None:
+                entries = kept[beta, n, key] = _slice(t, beta, n, key, block)
+            for z_k, rho, sn, sd in entries:
+                for z, b, e, cn, cd in fits:
+                    merge(sums, (z + z_k, rho, b, e), cn * sn, cd * sd)
     for key, (num, den) in sums.items():
         if num:
             acc.merge(key, num, den)

