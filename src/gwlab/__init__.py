@@ -59,12 +59,14 @@ from .matrices import (
     s_adjoint_matrix,
     s_matrix,
 )
+from .oracles import OracleDomainError
 from .series import (
     LoopSeries,
     MismatchError,
     ScalarSeries,
     SeriesAccumulator,
     Truncation,
+    TruncationError,
     TruncationOverflowError,
 )
 from .targets import (

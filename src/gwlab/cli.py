@@ -33,7 +33,7 @@ from .checks import (
 from .cone import TPolynomial, cone_point, s_apply, sufficient_window, tangent_vector
 from .correlators import CapabilityError, InvalidKeyError, StabilityError, get_engine
 from .localisation import check_localisation, localisation_sum
-from .series import MismatchError, Truncation, TruncationOverflowError
+from .series import MismatchError, Truncation, TruncationError, TruncationOverflowError
 from .targets import ConfigurationError, load_target, make_target
 
 _Run = namedtuple("_Run", "t trunc engine seed k_max")
@@ -200,7 +200,7 @@ def _resolve_truncation(cfg, target) -> Truncation:
         )
     try:
         return Truncation(cfg["D"], cfg["E"], z_min, z_max)
-    except ValueError as exc:
+    except TruncationError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 

@@ -21,7 +21,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .correlators import (
-    _EXPANSIONS_CACHE_SIZE, Block, CorrelatorEngine, StabilityError, canonical_key, get_engine, is_stable, vdim,
+    _EXPANSIONS_CACHE_SIZE, Block, CorrelatorEngine, StabilityError, _int_pairs, canonical_key, get_engine, is_stable,
+    vdim,
 )
 from .series import (
     LoopSeries,
@@ -96,17 +97,19 @@ def _expansions(t: TPolynomial, n: int) -> tuple[tuple[Fraction, tuple[tuple[int
 
     Yields (weight, insertions) over multisets of monomials of t, with
     weight prod_j c_j^{m_j} / m_j! -- the 1/n! of the generating sum
-    combined with the multinomial count of orderings.
+    combined with the multinomial count of orderings -- formed once from
+    the integer products of its numerators and denominators.
     """
     monos = t.monomials()
     out = []
     for combo in combinations_with_replacement(range(len(monos)), n):
-        weight = Fraction(1)
+        num = den = 1
         for idx, m in Counter(combo).items():
-            weight *= monos[idx][2] ** m
-            weight /= factorial(m)
+            c = monos[idx][2]
+            num *= c.numerator ** m
+            den *= c.denominator ** m * factorial(m)
         insertions = tuple(sorted((monos[idx][1], monos[idx][0]) for idx in combo))
-        out.append((weight, insertions))
+        out.append((Fraction(num, den), insertions))
     return tuple(out)
 
 
@@ -389,7 +392,7 @@ def double_bracket(
     over the stable range.  ``extra_eps`` shifts the eps grading, used
     when a fixed slot is itself a t-monomial carrying its own order.
     """
-    fixed = tuple(sorted((int(a), int(k)) for a, k in fixed))
+    fixed = tuple(sorted(_int_pairs(fixed)))
     if not fixed:
         raise StabilityError("needs at least one fixed insertion")
     return _bracket_sum(t, fixed, trunc, engine or get_engine(t.target), extra_eps)
@@ -400,24 +403,57 @@ def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
     stable (beta, n), leaving out the insertion-free correlators.
 
     Only the expansions that fill what the fixed slots leave of the
-    virtual dimension are looked up; the rest fail the engine's dimension
-    filter and are zero.  The fixed slots are checked as
-    ``engine.correlator`` checks a key, at the first grade that has an
-    expansion, so a malformed slot raises there even if no expansion
-    fills its dimension.
+    virtual dimension, read from ``_bracket_grades``, are looked up; the
+    rest fail the engine's dimension filter and are zero.  The fixed
+    slots are checked as ``engine.correlator`` checks a key, at the first
+    grade that has an expansion, so a malformed slot raises there even if
+    no expansion fills its dimension.  Each expansion's key, (beta, the
+    sorted fixed slots and t-monomials), is read straight from the
+    engine's value table: only well-formed keys are cached and every
+    grade is stable, so a hit needs no check.  A miss asks
+    ``engine.correlator``, which checks and reduces the key, with the
+    errors it always raised.  A zero value is skipped: its product would
+    insert no key into the sums.
     """
     target = t.target
     top = trunc.epsilon_order - extra_eps
     views = [_expansions_by_dim(t, n) for n in range(top + 1)]
+    read = engine._values.get
     used = None
     sums: dict = {}
-    for beta, n in _stable_pairs(target, trunc, len(fixed), top):
-        if (not fixed and not n) or not views[n]:
+    for beta, n, dim in _bracket_grades(target, trunc.novikov_order, top, len(fixed)):
+        view = views[n]
+        if not view:
             continue
         if used is None:
             engine._check_key(*canonical_key(beta, fixed))
             used = sum(target.degree(a) + k for a, k in fixed)
-        for weight, monos in views[n].get(vdim(target, beta, n + len(fixed)) - used, ()):
-            val = engine.correlator(beta, fixed + monos)
-            merge(sums, (beta, n + extra_eps), weight.numerator * val.numerator, weight.denominator * val.denominator)
+        grade = (beta, n + extra_eps)
+        for weight, monos in view.get(dim - used, ()):
+            ins = fixed + monos
+            val = read((beta, tuple(sorted(ins))))
+            if val is None:
+                val = engine.correlator(beta, ins)
+            if val:
+                merge(sums, grade, weight.numerator * val.numerator, weight.denominator * val.denominator)
     return ScalarSeries(trunc, read_out(sums))
+
+
+# One table per (target, D, eps order, fixed-slot count); a verify run
+# meets a few, so this only bounds a long-lived process.
+_GRADES_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_GRADES_CACHE_SIZE)
+def _bracket_grades(target: TargetSpace, D: int, top: int, fixed: int) -> tuple:
+    """The grades (beta, n, vdim) of a bracket with ``fixed`` fixed slots:
+    the (beta, n) of ``_stable_pairs`` up to eps order ``top``, less n = 0
+    when no slot is fixed (the insertion-free correlators), each with the
+    virtual dimension of (beta, n + fixed).  One table per target, orders
+    and slot count, kept across calls and engines."""
+    return tuple(
+        (beta, n, vdim(target, beta, n + fixed))
+        for beta in iter_betas(target.class_rank, D)
+        for n in range(top + 1)
+        if is_stable(beta, n + fixed) and (fixed or n)
+    )

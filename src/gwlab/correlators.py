@@ -66,8 +66,8 @@ class ReductionDepthError(CapabilityError):
 
 class InvalidKeyError(ValueError):
     """A key names a basis index the target lacks, a negative psi power,
-    or a degree that is not a non-negative class of the target's rank (or
-    the empty degree)."""
+    an entry that is not an integer, or a degree that is not a
+    non-negative class of the target's rank (or the empty degree)."""
 
 
 Key = tuple[NovikovDegree, tuple[tuple[int, int], ...]]
@@ -94,12 +94,36 @@ def is_stable(beta: NovikovDegree, n: int) -> bool:
 
 def canonical_key(beta: NovikovDegree, insertions: Iterable) -> Key:
     """Sort insertions by basis index then psi power; correlators are
-    symmetric in their arguments, so permuted inputs share one key."""
-    ins = tuple(sorted([(int(a), int(k)) for a, k in insertions]))
+    symmetric in their arguments, so permuted inputs share one key.
+    Entries are read as ints, as ``_int_pairs`` reads the insertions."""
+    ins = tuple(sorted(_int_pairs(insertions)))
     for _, k in ins:
         if k < 0:
             raise InvalidKeyError("psi powers must be non-negative")
-    return (tuple(beta), ins)
+    try:
+        raw = tuple(beta)
+        degree = tuple(map(int, raw))
+    except (TypeError, ValueError):
+        raw, degree = beta, None
+    if degree != raw:
+        raise InvalidKeyError(f"degree {beta!r} is not a tuple of integers")
+    return (degree, ins)
+
+
+def _int_pairs(insertions: Iterable) -> list[tuple[int, int]]:
+    """The insertions as (basis index, psi power) pairs of ints.  An entry
+    that is not an integer (1.5, "a"), or an insertion that is not a pair,
+    raises ``InvalidKeyError`` rather than being truncated onto a key."""
+    raw = list(insertions)
+    try:
+        pairs = [(int(a), int(k)) for a, k in raw]
+    except (TypeError, ValueError):
+        raise InvalidKeyError(f"insertions {raw!r} are not pairs of integers") from None
+    if pairs != raw:  # equal whenever raw holds tuples of integral values
+        for (a, k), (x, y) in zip(pairs, raw):
+            if a != x or k != y:
+                raise InvalidKeyError(f"insertion {(x, y)!r} is not a pair of integers")
+    return pairs
 
 
 # The insertion each reduction move acts on, by the name of the engine

@@ -17,6 +17,12 @@ from math import comb, factorial, prod
 
 from .targets import NovikovDegree, TargetSpace, beta_splits
 
+
+class OracleDomainError(ValueError):
+    """An oracle is asked outside the range it is defined on: fewer than
+    three marked points, or a degree that is not positive."""
+
+
 _PSI_CACHE_SIZE = 1 << 13  # above the 2,970 sorted keys that all n <= 8 integrals visit
 _PLANE_CACHE_SIZE = 1024  # counts fill bottom up; up to this degree each is computed once
 
@@ -34,7 +40,7 @@ def point_psi_integral(powers: tuple[int, ...]) -> Fraction:
     ks = tuple(sorted(powers))
     n = len(ks)
     if n < 3:
-        raise ValueError("needs at least three marked points")
+        raise OracleDomainError("needs at least three marked points")
     if n == 3:
         return Fraction(1) if ks == (0, 0, 0) else Fraction(0)
     if ks[0] != 0:
@@ -68,7 +74,7 @@ def rational_plane_curves(d: int) -> Fraction:
               (d2 C(3d-4, 3d1-2) - d1 C(3d-4, 3d1-1)).
     """
     if d < 1:
-        raise ValueError("degree must be positive")
+        raise OracleDomainError("degree must be positive")
     if d == 1:
         return Fraction(1)
     # Lower degrees first, each from the ones below it, so no degree recurses.
@@ -121,7 +127,7 @@ def projective_one_point_descendants(r: int, d: int) -> dict[tuple[int, int], Fr
     value.  Used purely as a cross-check oracle for the engine.
     """
     if d <= 0:
-        raise ValueError("degree must be positive")
+        raise OracleDomainError("degree must be positive")
     # Coefficients of the H-expansion of the product, as a vector mod H^{r+1}.
     poly = [Fraction(0)] * (r + 1)
     poly[0] = Fraction(1)

@@ -33,6 +33,11 @@ class MismatchError(ValueError):
     """Operands disagree on target or truncation."""
 
 
+class TruncationError(ValueError):
+    """A truncation with a negative order, or a window that does not hold
+    z^0 and z^1."""
+
+
 class TruncationOverflowError(ValueError):
     """A produced z-exponent falls outside the configured window."""
 
@@ -57,9 +62,9 @@ class Truncation:
 
     def __post_init__(self):
         if self.novikov_order < 0 or self.epsilon_order < 0:
-            raise ValueError("truncation orders must be non-negative")
+            raise TruncationError("truncation orders must be non-negative")
         if not (self.z_min <= 0 < self.z_max):
-            raise ValueError("window must satisfy z_min <= 0 < z_max")
+            raise TruncationError("window must satisfy z_min <= 0 < z_max")
 
     def admits_grade(self, beta: NovikovDegree, eps: int) -> bool:
         return beta_total(beta) <= self.novikov_order and eps <= self.epsilon_order

@@ -15,6 +15,11 @@ denominators, zero matrix entries and, for ``mul``, raw terms past the
 truncation, the new path must give the same terms in the same order;
 ``omega``, into which ``_pair`` was folded, is compared with the
 reference ``_pair`` at z-sum -1 with the flip, re-keyed by grade.
+The bracket sum, which now reads each key straight from the engine's
+value table, is also compared on engines warmed by another t (no key
+asked of ``engine.correlator``), for the potential's empty fixed slots,
+for a P2 t on a P1 engine and for malformed fixed slots, which must raise
+the reference's named error with its message.
 The one exception is a nonzero universal relation, compared as a map:
 the old chain of ``add`` calls dropped keys that cancelled partway and
 appended them again later.  The universal report must stay identical,
@@ -351,6 +356,103 @@ def test_bracket_sums_match_reference(name, seed):
                 assert list(cone._bracket_sum(t, fixed, trunc, engine, extra_eps).terms.items()) == want
                 nonzero += bool(want)
     assert nonzero
+
+
+def _bracket_outcome(fn, t, fixed, trunc, engine, extra_eps):
+    """The terms of a bracket sum in insertion order, or the named error it raised."""
+    try:
+        return ("terms", list(fn(t, fixed, trunc, engine, extra_eps).terms.items()))
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _full_support(target, degree) -> TPolynomial:
+    """t with every coefficient 1: its keys hold those of every t of its degree."""
+    return TPolynomial(target, ((Fraction(1),) * target.rank,) * (degree + 1))
+
+
+def _bracket_cases(target, seed):
+    """Seeded fixed slots of one to three slots, each with extra eps 0 and 1,
+    and the potential's empty fixed slots."""
+    rng = random.Random(f"graded-sum/bracket-cases/{target.name}/{seed}")
+    fixed = [tuple(sorted((rng.randrange(target.rank), rng.randrange(5)) for _ in range(size)))
+             for size in (1, 2, 3) for _ in range(6)]
+    return [((), 0)] + [(f, extra_eps) for f in fixed for extra_eps in (0, 1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", TARGETS)
+def test_bracket_sums_on_a_warm_engine_read_every_key_from_the_table(name, seed, monkeypatch):
+    """An engine filled by another t: the new sum reads every key from the
+    value table, never asks ``engine.correlator``, and gives the reference
+    terms."""
+    target, t, trunc = _setting(name, seed)
+    engine = CorrelatorEngine(target)
+    cases = _bracket_cases(target, seed)
+    for fixed, extra_eps in cases:
+        _bracket_sum(_full_support(target, 1), fixed, trunc, engine, extra_eps)
+    filled = len(engine._values)
+    monkeypatch.setattr(engine, "correlator", lambda *key: pytest.fail(f"correlator asked for {key}"))
+    got = [_bracket_outcome(cone._bracket_sum, t, fixed, trunc, engine, e) for fixed, e in cases]
+    monkeypatch.undo()
+    want = [_bracket_outcome(_bracket_sum, t, fixed, trunc, engine, e) for fixed, e in cases]
+    assert got == want
+    assert len(engine._values) == filled
+    assert any(w[0] == "terms" and w[1] for w in want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", TARGETS)
+def test_descendant_potential_matches_reference_on_fresh_and_warm_engines(name, seed):
+    target, t, trunc = _setting(name, seed)
+    engine = CorrelatorEngine(target)
+    want = list(_bracket_sum(t, (), trunc, CorrelatorEngine(target), 0).terms.items())
+    assert want
+    assert list(cone.descendant_potential(t, trunc, engine).terms.items()) == want
+    assert list(cone.descendant_potential(t, trunc, engine).terms.items()) == want
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_a_p1_engine_given_a_p2_t_raises_as_reference(warm):
+    """P2's t names basis index 2, which P1 lacks: the first key that holds
+    it is a miss, checked by ``engine.correlator`` as in the reference."""
+    p1, p2 = make_target("P1"), make_target("P2")
+    t, trunc = TPolynomial.random(p2, 1, 7), default_truncation(p2, 2, 3, 1)
+    cases = [(fixed, extra_eps) for fixed in (((1, 0),), ((0, 2), (1, 0)), ((0, 1),)) for extra_eps in (0, 1)]
+    cases.append(((), 0))
+
+    def engine():
+        out = CorrelatorEngine(p1)
+        if warm:
+            for fixed, extra_eps in cases:
+                _bracket_sum(_full_support(p1, 1), fixed, default_truncation(p1, 2, 3, 1), out, extra_eps)
+        return out
+
+    for fixed, extra_eps in cases:
+        want = _bracket_outcome(_bracket_sum, t, fixed, trunc, engine(), extra_eps)
+        assert want == ("InvalidKeyError", "basis index 2 out of range for P1 (rank 2)"), fixed
+        assert _bracket_outcome(cone._bracket_sum, t, fixed, trunc, engine(), extra_eps) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", TARGETS)
+def test_malformed_fixed_slots_raise_as_reference(name, seed):
+    """A negative psi power or a bad basis index in a fixed slot, alone or
+    beside a valid one, on fresh and warm engines."""
+    target, t, trunc = _setting(name, seed)
+    rank = target.rank
+    warm = CorrelatorEngine(target)
+    for fixed, extra_eps in _bracket_cases(target, seed):
+        _bracket_sum(_full_support(target, 1), fixed, trunc, warm, extra_eps)
+    raised = 0
+    for slot in ((0, -1), (rank - 1, -3), (rank, 0), (-1, 0), (rank + 2, 1)):
+        for fixed in ((slot,), tuple(sorted((slot, (0, 0)))), tuple(sorted((slot, (rank - 1, 1))))):
+            for extra_eps in (0, 1):
+                for engine in (CorrelatorEngine(target), warm):
+                    want = _bracket_outcome(_bracket_sum, t, fixed, trunc, engine, extra_eps)
+                    assert _bracket_outcome(cone._bracket_sum, t, fixed, trunc, engine, extra_eps) == want
+                    raised += want[0] == "InvalidKeyError"
+    assert raised
 
 
 def _entries(rng, target, trunc) -> dict:

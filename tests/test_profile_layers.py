@@ -23,6 +23,10 @@ def test_layers_partition_the_profiled_time():
     assert all(report["layers"][name]["s"] > 0 for name in ("reduction", "block_assembly", "accumulation", "linear_algebra"))
     assert report["block_requests"] >= report["block"]["calls"] > 0 and report["kernel_sum"]["calls"] > 0
     assert report["slices"] > 0
+    assert report["correlator_calls"] == 0  # the kernel sums ask the engine for blocks, not correlators
+    get_engine.cache_clear()
+    alone = tool.profile(["verify", "--target", "P2", "--D", "2", "--E", "2", "--suites", "universal"])
+    assert alone["correlator_calls"] > 0  # on a fresh engine, the keys the bracket sums miss
     assert report["merge_calls"] > 0
     assert report["fraction_new_calls"] > 0
     assert 0 < report["fraction_own_share"] < 1

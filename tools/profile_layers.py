@@ -31,6 +31,9 @@ The default CLI args are ``verify --suites all --target P2 --D 4 --E 5
 --T 1 --seed 7 --format json``.  OUT.json holds the layer times and
 shares, ``Fraction``'s own time and share, the number of ``Fraction``s
 formed (``fraction_new_calls``, the calls of ``Fraction.__new__``), the
+calls of ``CorrelatorEngine.correlator`` (``correlator_calls``: the keys
+canonicalised and checked from outside the engine, which a bracket sum
+makes only for the keys missing from the engine's value table), the
 calls and cumulative share of ``CorrelatorEngine._block`` and
 ``cone._kernel_sum``, the calls of ``SeriesAccumulator.add`` and of
 ``series.merge``, and the top functions by own time.  ``fibre_block`` and
@@ -164,6 +167,7 @@ def profile(args: list[str]) -> dict:
         "layers": {name: {"s": round(t, 3), "share": round(t / total, 3)} for name, t in layers.items()},
         "fraction_own_s": round(fraction_own, 3),
         "fraction_own_share": round(fraction_own / total, 3),
+        "correlator_calls": _calls(stats, correlators.CorrelatorEngine.correlator),
         "block_requests": _calls(stats, correlators.CorrelatorEngine.fibre_block)
         + _calls(stats, correlators.CorrelatorEngine.flow_block),
         "block": {"calls": block_calls, "cum_s": round(block_cum, 3), "share": round(block_cum / total, 3)},
