@@ -244,6 +244,18 @@ def _kernel_sum(acc: SeriesAccumulator, t: TPolynomial, grades, operand, block) 
             acc.merge(key, num, den)
 
 
+def _engine_for(t: TPolynomial, engine: CorrelatorEngine | None) -> CorrelatorEngine:
+    """The engine a builder reads t's correlators from: the shared engine of
+    t's target when none is given, else the one given, which must serve
+    t's target.  The check tries identity first, then equality, so a
+    different but equal presentation is served too."""
+    if engine is None:
+        return get_engine(t.target)
+    if engine.target is not t.target and engine.target != t.target:
+        raise MismatchError(f"the engine serves {engine.target.name}, but t lives over {t.target.name}")
+    return engine
+
+
 def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> ScalarSeries:
     """F^0(t): sum over the stable range of Q^beta eps^n / n! <t(psi), ..., t(psi)>.
 
@@ -251,7 +263,7 @@ def descendant_potential(t: TPolynomial, trunc: Truncation, engine: CorrelatorEn
     grade is omitted; the potential is only ever consumed through its
     derivatives, which never see that grade.
     """
-    return _bracket_sum(t, (), trunc, engine or get_engine(t.target), 0)
+    return _bracket_sum(t, (), trunc, _engine_for(t, engine), 0)
 
 
 def cone_point(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | None = None) -> LoopSeries:
@@ -263,7 +275,7 @@ def cone_point(t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine | Non
     degree zero with fewer than two t-insertions, hold q instead.  Each
     grade is one ``_cone_grade`` piece.
     """
-    engine = engine or get_engine(t.target)
+    engine = _engine_for(t, engine)
     acc = SeriesAccumulator(t.target, trunc)
     for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):
@@ -303,7 +315,7 @@ def s_apply(
     Each f term phi_a z^j contributes its z^j outside the correlator;
     the sum excludes only the unstable (beta, n) = (0, 0) term.
     """
-    engine = engine or get_engine(t.target)
+    engine = _engine_for(t, engine)
     if f.target != t.target:
         raise MismatchError("f lives over a different target")
     acc = SeriesAccumulator(t.target, trunc)
@@ -329,7 +341,7 @@ def s_adjoint_corr_apply(
     Unlike ``s_apply`` the z-power of r is substituted into the psi slot
     of the correlator, not carried outside.
     """
-    engine = engine or get_engine(t.target)
+    engine = _engine_for(t, engine)
     if r.target != t.target:
         raise MismatchError("r lives over a different target")
     if any(z < 0 for (z, _, _, _) in r.terms):
@@ -395,7 +407,7 @@ def double_bracket(
     fixed = tuple(sorted(_int_pairs(fixed)))
     if not fixed:
         raise StabilityError("needs at least one fixed insertion")
-    return _bracket_sum(t, fixed, trunc, engine or get_engine(t.target), extra_eps)
+    return _bracket_sum(t, fixed, trunc, _engine_for(t, engine), extra_eps)
 
 
 def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, prod
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, prod
 from typing import Iterable
 
 from .series import merge
@@ -145,8 +145,15 @@ class CorrelatorEngine:
         self._blocks: dict = {}
         self._shared: OrderedDict = OrderedDict()
         self._plane_counts: dict[int, Fraction] = {}
-        self._free = _FreeDims(target)
+        self._free = _ByDegree(partial(vdim, target, n=0))
+        self._inverting_divisors = _ByDegree(partial(_inverting_divisor, target))
         self._degrees = target.basis_degrees
+        # The cup and inverse pairing coefficients as integer pairs, which the reduction sums read.
+        self._cup = tuple(
+            tuple(tuple((k, c.numerator, c.denominator) for k, c in terms) for terms in row)
+            for row in target.cup_terms
+        )
+        self._pinv = tuple(tuple((c.numerator, c.denominator) for c in row) for row in target.pairing_inverse)
 
     # ------------------------------------------------------------------
     # public surface
@@ -208,7 +215,9 @@ class CorrelatorEngine:
         so the returned map is finite (at most one key).
         """
         beta, fixed = canonical_key(beta, fixed)
-        self._check_key(beta, fixed + ((kernel_alpha, 0),))
+        kernel = tuple(_int_pairs([(kernel_alpha, 0)]))  # the index read as an int, as canonical_key reads slots
+        kernel_alpha = kernel[0][0]
+        self._check_key(beta, fixed + kernel)
         m = len(fixed) + 1
         if not is_stable(beta, m):
             raise StabilityError(f"kernel correlator unstable: beta={beta}, {m} insertions")
@@ -267,7 +276,11 @@ class CorrelatorEngine:
         """
         key = (beta, kernel_alpha, fixed, sign)
         beta, fixed = canonical_key(beta, fixed)
-        kernel = () if kernel_alpha is None else ((kernel_alpha, 0),)
+        if kernel_alpha is None:
+            kernel = ()
+        else:  # the kernel index is read as an int, as canonical_key reads the fixed slots
+            kernel = tuple(_int_pairs([(kernel_alpha, 0)]))
+            kernel_alpha = kernel[0][0]
         # The gamma = 0 kernel correlator's insertions, as correlator_with_kernel checks them.
         checked = fixed + ((0, 0),) if kernel_alpha is None else tuple(sorted(fixed + ((0, 0),))) + kernel
         self._check_key(beta, checked)
@@ -384,24 +397,42 @@ class CorrelatorEngine:
         return top * Fraction(factorial(n - 3), prod(factorial(k) for _, k in ins))
 
     def _divisor(self, beta: NovikovDegree, ins: tuple, pos: int) -> Fraction:
-        """<D, x_1, ..., x_n> = (D.beta) <x_1, ..., x_n> + corrections."""
+        """<D, x_1, ..., x_n> = (D.beta) <x_1, ..., x_n> + corrections; the
+        pairing term is the pair the corrections are summed onto."""
         rest = ins[:pos] + ins[pos + 1:]
-        pairing = Fraction(self.target.divisor_pairing(ins[pos][0], beta))
-        return pairing * self._eval(beta, rest) + self._corrections(beta, ins, pos)
+        pairing = self.target.divisor_pairing(ins[pos][0], beta)
+        val = self._eval(beta, rest)
+        return self._corrections(beta, ins, pos, pairing * val.numerator, val.denominator)
 
-    def _corrections(self, beta: NovikovDegree, ins: tuple, pos: int) -> Fraction:
-        """Descendant corrections of the divisor equation for the class D at pos:
+    def _corrections(
+        self, beta: NovikovDegree, ins: tuple, pos: int, num: int = 0, den: int = 1, over: int = 1
+    ) -> Fraction:
+        """Descendant corrections of the divisor equation for the class D at
+        pos, added to num/den and divided by ``over``:
 
-        sum_{j != pos: k_j >= 1} <..., (D cup gamma_j) psi^{k_j - 1}, ...>.
+        (num/den + sum_{j != pos: k_j >= 1} <..., (D cup gamma_j) psi^{k_j - 1}, ...>) / over.
+
+        The terms are summed on the integer pair (num, den) over the lcm of
+        the denominators, as ``series.merge`` sums, and the total is the one
+        ``Fraction`` formed.  The lcm step is written out here and in
+        ``_recursion``: a call per term would cost a frame and its time.
         """
         div, rest = ins[pos][0], ins[:pos] + ins[pos + 1:]
-        total = Fraction(0)
+        cup = self._cup[div]
         for j, (a, k) in enumerate(rest):
             if k >= 1:
-                for nu, c in self.target.cup_terms[div][a]:
+                for nu, cn, cd in cup[a]:
                     val = self._eval(beta, _sorted_replace(rest, j, (nu, k - 1)))
-                    total += val if c == 1 else c * val
-        return total
+                    vn = val.numerator
+                    if vn:
+                        vn, vd = cn * vn, cd * val.denominator
+                        if vd == den:
+                            num += vn
+                        else:
+                            g = gcd(den, vd)
+                            num = num * (vd // g) + vn * (den // g)
+                            den *= vd // g
+        return Fraction(num, den * over)
 
     # The string equation <1, x_1, ..., x_n> = sum_j <..., psi-lowered x_j, ...> is the unit's divisor
     # equation, whose pairing term is zero; an alias, not a wrapper, adds no frame to the reduction.
@@ -424,7 +455,7 @@ class CorrelatorEngine:
         a_c, k_c = ins[carrier_pos]
         rest = ins[:carrier_pos] + ins[carrier_pos + 1:]
         comp_ins, spare_ins = rest[:2], rest[2:]
-        pinv, by_degree = t.pairing_inverse, t.basis_by_degree
+        pinv, by_degree = self._pinv, t.basis_by_degree
         # ``need`` per split of the spare insertions: the carrier side's vdim less the
         # degrees and psi powers of left_base, but for the c1(b0) each degree split adds.
         masks = []
@@ -434,7 +465,7 @@ class CorrelatorEngine:
             masks.append((mask, side0, t.dim - t.degree(a_c) - k_c + spare))
         by_c1 = _splits_by_c1(t.c1_vector, beta)
         fitting = {deg - need for _, _, need in masks for deg in by_degree}
-        total = Fraction(0)
+        num, den = 0, 1  # the total, summed as _corrections sums
         for _, b0, b1, c1 in sorted(s for c in fitting for s in by_c1.get(c, ())):
             for mask, side0, need in masks:
                 need += c1
@@ -446,16 +477,25 @@ class CorrelatorEngine:
                 right_base = tuple(sorted(side1 + comp_ins))
                 for mu in mus:
                     left = self._eval(beta=b0, ins=tuple(sorted(left_base + ((mu, 0),))))
-                    if not left:
+                    ln = left.numerator
+                    if not ln:
                         continue
+                    ld, row = left.denominator, pinv[mu]
                     for nu in by_degree.get(t.dim - need, ()):
-                        w = pinv[mu][nu]
-                        if not w:
+                        wn, wd = row[nu]
+                        if not wn:
                             continue
                         right = self._eval(beta=b1, ins=tuple(sorted(right_base + ((nu, 0),))))
-                        if right:
-                            total += w * left * right
-        return total
+                        vn = right.numerator
+                        if vn:
+                            vn, vd = wn * ln * vn, wd * ld * right.denominator
+                            if vd == den:
+                                num += vn
+                            else:
+                                g = gcd(den, vd)
+                                num = num * (vd // g) + vn * (den // g)
+                                den *= vd // g
+        return Fraction(num, den)
 
     def _primary(self, beta: NovikovDegree, ins: tuple) -> Fraction:
         """Seed values of the built-in line and plane.  A target gets them
@@ -493,23 +533,25 @@ class CorrelatorEngine:
 
         where the extended key is expanded by topological recursion in
         place when it has three insertions (re-dispatching it would
-        apply the divisor rule and loop).
+        apply the divisor rule and loop).  H and H.beta are read from the
+        engine's table by degree; the corrections are summed from minus the
+        extended value and divided by minus H.beta, which is the same.
         """
-        t = self.target
-        div = next(
-            (i for i in t.divisor_indices if t.divisor_pairing(i, beta) != 0), None
-        )
-        if div is None:
+        found = self._inverting_divisors[beta]
+        if found is None:
             raise CapabilityError(
-                f"no divisor pairs with beta={beta} on {t.name}; cannot ground the key {ins}"
+                f"no divisor pairs with beta={beta} on {self.target.name}; cannot ground the key {ins}"
             )
+        div, pairing = found
         ext = tuple(sorted(ins + ((div, 0),)))
         if len(ext) >= 3:
             rule, pos = self._move(ext, ("_recursion",))
             extended = rule(beta, ext, pos)
         else:
             extended = self._eval(beta, ext)
-        return (extended - self._corrections(beta, ext, ext.index((div, 0)))) / t.divisor_pairing(div, beta)
+        return self._corrections(
+            beta, ext, ext.index((div, 0)), -extended.numerator, extended.denominator, -pairing
+        )
 
 
 def _sorted_replace(ins: tuple, j: int, new: tuple) -> tuple:
@@ -526,17 +568,26 @@ def _splits_by_c1(c1_vector: tuple[int, ...], beta: NovikovDegree) -> dict[int, 
     return by_c1
 
 
-class _FreeDims(dict):
-    """beta -> dim - 3 + c1(beta), the virtual dimension less the number of
-    points, worked out by ``vdim`` the first time an engine meets beta."""
+def _inverting_divisor(target: TargetSpace, beta: NovikovDegree) -> tuple[int, int] | None:
+    """(H, H.beta) for the first divisor class H that pairs nonzero with
+    beta, the class the divisor inversion adds, or None if there is none."""
+    return next(
+        ((i, p) for i in target.divisor_indices if (p := target.divisor_pairing(i, beta))), None
+    )
 
-    def __init__(self, target: TargetSpace):
+
+class _ByDegree(dict):
+    """beta -> build(beta), worked out the first time an engine meets beta:
+    ``dim - 3 + c1(beta)``, the virtual dimension less the number of
+    points, and the divisor the inversion adds."""
+
+    def __init__(self, build):
         super().__init__()
-        self.target = target
+        self.build = build
 
-    def __missing__(self, beta: NovikovDegree) -> int:
-        free = self[beta] = vdim(self.target, beta, 0)
-        return free
+    def __missing__(self, beta: NovikovDegree):
+        value = self[beta] = self.build(beta)
+        return value
 
 
 _ENGINE_CACHE_SIZE = 8

@@ -30,8 +30,8 @@ from math import factorial
 
 from . import oracles
 from .checks import CheckReport, _cone_transform, _report, _timed
-from .cone import TPolynomial, _cone_grade, _Kernel, _kernel_sum, cone_point, dilaton_shift, s_apply
-from .correlators import CorrelatorEngine, get_engine
+from .cone import TPolynomial, _cone_grade, _engine_for, _Kernel, _kernel_sum, cone_point, dilaton_shift, s_apply
+from .correlators import CorrelatorEngine
 from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
 from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, beta_zero, iter_betas
 
@@ -105,7 +105,7 @@ def contribution(
     case1, case2 and case5 are the bare zero-end piece, case3 and case4
     flow -z*1 and t(z), and the generic record flows the fibre kernel.
     """
-    engine = engine or get_engine(t.target)
+    engine = _engine_for(t, engine)
     acc = SeriesAccumulator(t.target, trunc)
     inf_end = any(rec.beta_inf) or rec.n_inf > 0
     zero = SeriesAccumulator(t.target, trunc) if inf_end else acc

@@ -439,6 +439,31 @@ def test_cli_fuzz_exit_codes(capsys, argv):
     capsys.readouterr()
 
 
+def test_correlator_at_the_deepest_degree_within_the_recursion_limit_exits_0():
+    """d=98 is the deepest three-point P1 query that ``python -m gwlab.cli``
+    reduces at Python's default recursion limit: the entry's own frames
+    leave one degree less than a library call has (d=99, pinned in
+    test_correlators.py).  It prints the value that a library call under a
+    raised limit gives.  Both run in fresh processes, as hypothesis raises
+    the limit while it runs a test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "gwlab.cli", "correlator", "--target", "P1", "d=98; (0,195) (1,0) (1,0)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    library = (
+        "import sys\n"
+        "from gwlab import correlator, make_target\n"
+        "sys.setrecursionlimit(4000)\n"
+        "value = correlator(make_target('P1'), (98,), [(0, 195), (1, 0), (1, 0)])\n"
+        "print(f'{value.numerator}/{value.denominator}')\n"
+    )
+    want = subprocess.run([sys.executable, "-c", library], env=env, capture_output=True, text=True, timeout=120)
+    assert want.returncode == 0, want.stderr
+    assert done.stdout == want.stdout and done.stdout.count("/") == 1 and done.stderr == ""
+
+
 @pytest.mark.parametrize("d", [100, 200])
 def test_correlator_deeper_than_the_recursion_limit_exits_1(d):
     # In a fresh process at Python's default recursion limit; hypothesis

@@ -13,7 +13,7 @@ keys that pass the dimension filter; the reference alone also caches the
 zeros of kernel classes that fail it.  Each check must
 report the same with ``engine=None`` as with an engine passed in; with
 one passed in nothing looks up the default, and without one only the
-builders that read an engine do.
+builders that read an engine do, through ``cone._engine_for``.
 """
 
 import inspect
@@ -218,15 +218,18 @@ def test_checks_pass_their_engine_on(name, monkeypatch):
     lookups = []
 
     def counted(tgt):
-        lookups.append((sys._getframe(1).f_code.co_name, tgt))
+        helper = sys._getframe(1)  # cone._engine_for, which each builder asks for its engine
+        lookups.append((helper.f_code.co_name, helper.f_back.f_code.co_name, tgt))
         return get_engine(tgt)
 
-    for module in (checks, cone, localisation):
+    for module in (checks, cone):
         monkeypatch.setattr(module, "get_engine", counted)
+    assert not hasattr(localisation, "get_engine")  # contribution asks cone._engine_for
     with_engine = _suites(t, trunc, get_engine(target))
     assert lookups == []  # with an engine given, no builder picks the default
     assert _suites(t, trunc, None) == with_engine
-    assert {tgt for _, tgt in lookups} == {target}
-    assert {caller for caller, _ in lookups} <= BUILDERS
+    assert {tgt for _, _, tgt in lookups} == {target}
+    assert {helper for helper, _, _ in lookups} == {"_engine_for"}
+    assert {caller for _, caller, _ in lookups} <= BUILDERS
     assert _suites(t, trunc, CorrelatorEngine(target)) == with_engine
     assert all(r["passed"] for r in with_engine[0])

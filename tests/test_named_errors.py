@@ -1,9 +1,10 @@
 """Library calls end in an exact answer or a named error.
 
 Each raise site below used to raise a bare ``ValueError``, return a value
-for a key it should refuse, or leak ``int()``'s own error.  Each now
-raises a ``ValueError`` subclass that ``gwlab`` exports, with the message
-the site always had; the CLI keeps its exit codes.
+for a key it should refuse, leak ``int()``'s or indexing's own error, or
+answer from an engine of another target.  Each now raises a
+``ValueError`` subclass that ``gwlab`` exports, with the message the site
+always had where it had one; the CLI keeps its exit codes.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ import gwlab
 from gwlab import cli, oracles
 from gwlab.cone import TPolynomial, default_truncation, double_bracket
 from gwlab.correlators import CorrelatorEngine, InvalidKeyError, canonical_key, correlator
-from gwlab.targets import make_target
+from gwlab.series import LoopSeries, MismatchError
+from gwlab.targets import load_target, make_target
 
 P1, P2 = make_target("P1"), make_target("P2")
 
@@ -110,3 +112,76 @@ def test_double_bracket_refuses_a_fractional_fixed_slot():
     for fixed in (((1.5, 0),), (("a", 0),)):
         with pytest.raises(InvalidKeyError):
             double_bracket(t, fixed, trunc, CorrelatorEngine(P1))
+
+
+# ---------------------------------------------------------------------------
+# kernel indices
+
+
+@pytest.mark.parametrize("index", [1.5, "a", "1"])
+def test_a_kernel_index_that_is_not_an_integer_raises_invalid_key_error(index):
+    with pytest.raises(InvalidKeyError, match="not a pair of integers|are not pairs of integers"):
+        CorrelatorEngine(P2).correlator_with_kernel((1,), [(2, 0)], index, 1)
+    with pytest.raises(InvalidKeyError, match="not a pair of integers|are not pairs of integers"):
+        CorrelatorEngine(P2).flow_block((1,), index, ((1, 0),))
+
+
+@pytest.mark.parametrize("index", [True, 1.0, Fraction(1)])
+def test_an_integral_kernel_index_of_another_type_reads_as_its_int(index):
+    engine = CorrelatorEngine(P2)
+    want = engine.correlator_with_kernel((1,), [(2, 0)], 1, 1)
+    assert want and engine.correlator_with_kernel((1,), [(2, 0)], index, 1) == want
+    fresh = CorrelatorEngine(P2).flow_block((1,), index, ((1, 0),))
+    assert fresh and fresh == engine.flow_block((1,), 1, ((1, 0),))
+    assert engine.flow_block((1,), index, ((1, 0),)) is engine.flow_block((1,), 1, ((1, 0),))  # the cached block
+
+
+# ---------------------------------------------------------------------------
+# an engine that serves another target
+
+
+def _builders(t, trunc):
+    """Each public builder that reads correlators, as a call on an engine."""
+    rec = next(r for r in gwlab.enumerate_splittings(t.target, (1,), 2) if r.kind == "generic" and r.n0 == r.n_inf == 1)
+    f = LoopSeries.basis(t.target, trunc, 1)
+    return {
+        "descendant_potential": lambda e: gwlab.descendant_potential(t, trunc, e),
+        "cone_point": lambda e: gwlab.cone_point(t, trunc, e),
+        "s_apply": lambda e: gwlab.s_apply(t, f, trunc, e),
+        "s_adjoint_corr_apply": lambda e: gwlab.s_adjoint_corr_apply(t, f, -1, trunc, e),
+        "tangent_vector": lambda e: gwlab.tangent_vector(t, 1, 0, trunc, e),
+        "double_bracket": lambda e: double_bracket(t, ((1, 0),), trunc, e),
+        "contribution": lambda e: gwlab.contribution(rec, t, trunc, e),
+        "localisation_sum": lambda e: gwlab.localisation_sum(t, trunc, e),
+        "s_matrix": lambda e: gwlab.s_matrix(t, trunc, e),
+        "s_adjoint_matrix": lambda e: gwlab.s_adjoint_matrix(t, trunc, e),
+    }
+
+
+BUILDERS = list(_builders(TPolynomial.random(P1, 1, 7), default_truncation(P1, 2, 2, 1)))
+# The built-in line's presentation, as load_target reads it.
+LINE = {
+    "name": "P1", "dim": 1, "basis_degrees": [0, 1], "pairing": [[0, 1], [1, 0]],
+    "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "class_rank": 1, "c1_vector": [2], "divisor_rows": [[1, [1]]],
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_a_builder_refuses_an_engine_of_another_target(builder):
+    """A P1 key is also a well-formed P2 key, so a P2 engine used to answer
+    a P1 t with the P2 values (an empty double bracket, for one)."""
+    t, trunc = TPolynomial.random(P1, 1, 7), default_truncation(P1, 2, 2, 1)
+    build = _builders(t, trunc)[builder]
+    with pytest.raises(MismatchError, match="^the engine serves P2, but t lives over P1$"):
+        build(CorrelatorEngine(P2))
+    with pytest.raises(MismatchError, match="^the engine serves line, but t lives over P1$"):
+        build(CorrelatorEngine(load_target({**LINE, "name": "line"})))  # the same ring renamed is another target
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_a_builder_reads_an_engine_of_an_equal_target(builder):
+    t, trunc = TPolynomial.random(P1, 1, 7), default_truncation(P1, 2, 2, 1)
+    build = _builders(t, trunc)[builder]
+    equal = load_target(LINE)
+    assert equal is not P1 and equal == P1
+    assert build(CorrelatorEngine(equal)) == build(CorrelatorEngine(P1)) == build(None)

@@ -5,7 +5,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gwlab import checks
+from gwlab import checks, make_target
 from gwlab.correlators import get_engine
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "profile_layers.py"
@@ -24,6 +24,7 @@ def test_layers_partition_the_profiled_time():
     assert report["block_requests"] >= report["block"]["calls"] > 0 and report["kernel_sum"]["calls"] > 0
     assert report["slices"] > 0
     assert report["correlator_calls"] == 0  # the kernel sums ask the engine for blocks, not correlators
+    assert report["reduce_calls"] == len(get_engine(make_target("P2"))._values) > 0  # each key reduced once
     get_engine.cache_clear()
     alone = tool.profile(["verify", "--target", "P2", "--D", "2", "--E", "2", "--suites", "universal"])
     assert alone["correlator_calls"] > 0  # on a fresh engine, the keys the bracket sums miss

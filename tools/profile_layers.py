@@ -34,7 +34,9 @@ formed (``fraction_new_calls``, the calls of ``Fraction.__new__``), the
 calls of ``CorrelatorEngine.correlator`` (``correlator_calls``: the keys
 canonicalised and checked from outside the engine, which a bracket sum
 makes only for the keys missing from the engine's value table), the
-calls and cumulative share of ``CorrelatorEngine._block`` and
+calls of ``CorrelatorEngine._reduce`` (``reduce_calls``: the keys reduced,
+each once, so on a fresh engine the size of its value table), the calls
+and cumulative share of ``CorrelatorEngine._block`` and
 ``cone._kernel_sum``, the calls of ``SeriesAccumulator.add`` and of
 ``series.merge``, and the top functions by own time.  ``fibre_block`` and
 ``flow_block`` serve a cached block themselves and enter ``_block`` only
@@ -168,6 +170,7 @@ def profile(args: list[str]) -> dict:
         "fraction_own_s": round(fraction_own, 3),
         "fraction_own_share": round(fraction_own / total, 3),
         "correlator_calls": _calls(stats, correlators.CorrelatorEngine.correlator),
+        "reduce_calls": _calls(stats, correlators.CorrelatorEngine._reduce),
         "block_requests": _calls(stats, correlators.CorrelatorEngine.fibre_block)
         + _calls(stats, correlators.CorrelatorEngine.flow_block),
         "block": {"calls": block_calls, "cum_s": round(block_cum, 3), "share": round(block_cum / total, 3)},
