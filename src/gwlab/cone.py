@@ -45,6 +45,8 @@ class TPolynomial:
     coeffs: tuple[CohVector, ...]
 
     def __post_init__(self):
+        if not self.coeffs:  # a negative degree asked of ``zero`` or ``random``
+            raise MismatchError("t needs a coefficient vector for z^0 at least")
         for vec in self.coeffs:
             if len(vec) != self.target.rank:
                 raise MismatchError("coefficient vector length does not match the basis")

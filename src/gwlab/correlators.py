@@ -252,7 +252,11 @@ class CorrelatorEngine:
 
     def flow_block(self, beta: NovikovDegree, kernel_alpha: int, fixed: tuple) -> Block:
         """sum_gamma <phi_a/(z - psi), fixed..., phi_gamma> phi^gamma, a ``Block``:
-        the cached block, else the one ``_block`` builds."""
+        the cached block, else the one ``_block`` builds.  A kernel index of
+        None, ``_block``'s mark of a fibre block, raises as
+        ``correlator_with_kernel`` raises for it."""
+        if kernel_alpha is None:
+            raise InvalidKeyError("insertions [(None, 0)] are not pairs of integers")
         fixed = tuple(sorted(fixed))
         block = self._blocks.get((beta, kernel_alpha, fixed, +1))
         return block if block is not None else self._block(beta, kernel_alpha, fixed, +1)
@@ -270,9 +274,10 @@ class CorrelatorEngine:
         fit it, gamma = 0 among them, are reduced, each read through
         ``_kernel``.  Each value is merged on integer pairs along the sparse
         ``dual_terms`` of phi^gamma; these are independent, so no
-        z-exponent a value reaches sums to the zero vector.  The nonzero
-        sums are cached unreduced, in the ``Block`` format that
-        ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
+        z-exponent a value reaches sums to the zero vector.  ``_kernel``
+        reads each value with sign +1, and the kernel sign goes on its
+        numerator.  The nonzero sums are cached unreduced, in the ``Block``
+        format that ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
         beta, fixed = canonical_key(beta, fixed)
@@ -294,9 +299,10 @@ class CorrelatorEngine:
             if l < 0:
                 continue
             slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
-            val = self._kernel(beta, fixed + slots, l, sign)
+            val = self._kernel(beta, fixed + slots, l, 1)
             if val:
-                vec, vn, vd = sums.setdefault(-1 - l, {}), val.numerator, val.denominator
+                vn = -val.numerator if sign < 0 and l % 2 == 0 else val.numerator
+                vec, vd = sums.setdefault(-1 - l, {}), val.denominator
                 for rho, (cn, cd) in dual:
                     merge(vec, rho, vn * cn, vd * cd)
         block = {z: tuple([(rho, n, d) for rho, (n, d) in sorted(vec.items()) if n]) for z, vec in sums.items()}

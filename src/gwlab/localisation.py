@@ -14,6 +14,13 @@ solution operator applied to the cone point, coefficient by
 coefficient; ``check_main_identity`` verifies it against the
 independently built right-hand side.
 
+``localisation_sum`` builds each zero-end piece once per (beta0, n0)
+and sums each record on integer pairs (``series.merge``): the bare
+piece, or the piece's one kernel sum.  Each record is checked against
+the z-window on its own, as the series ``contribution`` returns would
+be, before its sums are merged into one total; the total becomes a
+series once.
+
 Contributions depend only on how many markings sit on each end, because
 all non-relative insertions carry the identical class t(psi), so a
 record stands for all C(n, n0) marking subsets of its shape and its
@@ -32,7 +39,16 @@ from . import oracles
 from .checks import CheckReport, _cone_transform, _report, _timed
 from .cone import TPolynomial, _cone_grade, _engine_for, _Kernel, _kernel_sum, cone_point, dilaton_shift, s_apply
 from .correlators import CorrelatorEngine
-from .series import LoopSeries, SeriesAccumulator, Truncation, coefficient_record, fraction_record
+from .series import (
+    LoopSeries,
+    MismatchError,
+    SeriesAccumulator,
+    Truncation,
+    coefficient_record,
+    fraction_record,
+    merge,
+    read_out,
+)
 from .targets import NovikovDegree, TargetSpace, beta_add, beta_splits, beta_zero, iter_betas
 
 
@@ -61,6 +77,8 @@ def enumerate_splittings(target: TargetSpace, beta: NovikovDegree, n: int) -> li
     node, the infinity end only needs to be nonempty.  Kinds are mutually
     exclusive and exclusive of the generic shape by construction.
     """
+    if n < 0:
+        raise MismatchError(f"marking count {n} is negative")
     records = []
     for beta0, beta_inf in beta_splits(beta):
         d0 = any(beta0)
@@ -105,16 +123,47 @@ def contribution(
     case1, case2 and case5 are the bare zero-end piece, case3 and case4
     flow -z*1 and t(z), and the generic record flows the fibre kernel.
     """
-    engine = _engine_for(t, engine)
-    acc = SeriesAccumulator(t.target, trunc)
-    inf_end = any(rec.beta_inf) or rec.n_inf > 0
-    zero = SeriesAccumulator(t.target, trunc) if inf_end else acc
-    _cone_grade(zero, t, rec.beta0, rec.n0, engine)
-    if inf_end:
-        # Fibre kernels of different t-expansions can cancel at a term; ``terms`` holds no zero.
-        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
-        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, _Kernel(engine))
-    return acc.series()
+    sums = _record_sums(rec, t, trunc, _engine_for(t, engine), {})
+    return LoopSeries(t.target, trunc, read_out(sums))
+
+
+def _record_sums(
+    rec: SplittingRecord, t: TPolynomial, trunc: Truncation, engine: CorrelatorEngine, pieces: dict
+) -> dict:
+    """The record's contribution as a ``series.merge`` map of integer
+    pairs, zero sums among them, checked against the z-window.
+
+    ``pieces`` keeps each zero-end piece built so far, by (beta0, n0): its
+    sums, and its nonzero terms as the operand of the infinity end's
+    kernel sum.  The result is the piece's own map, or a new one, and is
+    not to be changed.
+    """
+    piece = pieces.get((rec.beta0, rec.n0))
+    if piece is None:
+        zero = SeriesAccumulator(t.target, trunc)
+        _cone_grade(zero, t, rec.beta0, rec.n0, engine)
+        sums = zero.pairs()
+        # The operand holds the nonzero sums only, as ``terms()`` would.
+        operand = [(a, [(z, b, e, Fraction(num, den))]) for (z, a, b, e), (num, den) in sums.items() if num]
+        piece = pieces[rec.beta0, rec.n0] = (sums, operand)
+    sums, operand = piece
+    if any(rec.beta_inf) or rec.n_inf:
+        acc = SeriesAccumulator(t.target, trunc)
+        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], operand, _Kernel(engine))
+        sums = acc.pairs()
+    return _window_checked(sums, trunc)
+
+
+def _window_checked(sums: dict, trunc: Truncation) -> dict:
+    """``sums``, a ``series.merge`` map, if its nonzero terms fit the
+    z-window.  Else the ``TruncationOverflowError`` that ``LoopSeries``
+    raises for them: at the first one outside, in the map's order, with
+    the rerun hint spanning them all."""
+    z_min, z_max = trunc.z_min, trunc.z_max
+    for (z, _, _, _), (num, _) in sums.items():
+        if num and not z_min <= z <= z_max:
+            trunc.check_window(z, {key: n for key, (n, _) in sums.items()})
+    return sums
 
 
 def localisation_sum(
@@ -122,13 +171,17 @@ def localisation_sum(
     trunc: Truncation,
     engine: CorrelatorEngine | None = None,
 ) -> LoopSeries:
-    """Sum of all weighted contributions over (beta, n) within truncation."""
-    acc = SeriesAccumulator(t.target, trunc)
+    """Sum of all weighted contributions over (beta, n) within truncation,
+    each record's checked against the window as ``contribution`` checks it."""
+    engine = _engine_for(t, engine)
+    pieces: dict = {}
+    total: dict = {}
     for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
         for n in range(trunc.epsilon_order + 1):
             for rec in enumerate_splittings(t.target, beta, n):
-                acc.add_series(contribution(rec, t, trunc, engine))
-    return acc.series()
+                for key, (num, den) in _record_sums(rec, t, trunc, engine, pieces).items():
+                    merge(total, key, num, den)
+    return LoopSeries(t.target, trunc, read_out(total))
 
 
 @_timed

@@ -100,6 +100,8 @@ def brute_force_splittings(
     the fixed-locus enumeration and each count / n! must be the
     per-record weight 1 / (n0! n_inf!).
     """
+    if n < 0:
+        raise OracleDomainError("marking count must be non-negative")
     counts: dict = {}
     for beta0, beta_inf in beta_splits(beta):
         for mask in range(1 << n):

@@ -380,6 +380,11 @@ class SeriesAccumulator:
         """Add num/den at ``key``, a grade the truncation admits."""
         merge(self._terms, key, num, den)
 
+    def pairs(self) -> dict[TermKey, list[int]]:
+        """The sums as ``merge`` keeps them, integer pairs, zero sums among
+        them; a view, not to be changed."""
+        return self._terms
+
     def terms(self) -> dict[TermKey, Fraction]:
         """The nonzero terms as Fractions, in the order of their first adds."""
         return read_out(self._terms)

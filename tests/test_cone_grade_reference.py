@@ -9,15 +9,28 @@ all three add the same grade pieces.  Over the configs and seeds of
 ``test_kernel_sum_reference.py`` they must give the same terms in the
 same insertion order, for every record kind, and raise the same window
 overflow wherever the reference raised one.
+
+The fixed-locus sum has a reference of its own: the ``contribution`` and
+``localisation_sum`` it replaced, verbatim, docstrings dropped.  Each
+record built a series of its own, and the sum merged the series in turn.
+Now each zero-end piece is built once per sum and each record is summed
+on integer pairs.  On the point, P1 and P2, three configs, three seeds,
+the default window and four narrow ones, the sum and each record must
+give the same terms as the reference, or the same overflow with the same
+message; so must the records' ``contribution``s added up.
 """
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gwlab.cone import (
     TPolynomial,
+    _cone_grade,
+    _engine_for,
+    _Kernel,
     _kernel_sum,
     _stable_pairs,
     cone_point,
@@ -25,7 +38,7 @@ from gwlab.cone import (
     dilaton_shift,
 )
 from gwlab.correlators import CorrelatorEngine, get_engine
-from gwlab.localisation import contribution, enumerate_splittings
+from gwlab.localisation import contribution, enumerate_splittings, localisation_sum
 from gwlab.series import SeriesAccumulator, Truncation, TruncationOverflowError
 from gwlab.series import SeriesAccumulator as _ZeroEnd
 from gwlab.targets import beta_zero, iter_betas, make_target
@@ -76,6 +89,28 @@ def _reference_contribution(rec, t, trunc, engine=None):
     if inf_end:
         piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
         _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, engine.flow_block)
+    return acc.series()
+
+
+def _parent_contribution(rec, t, trunc, engine=None):
+    engine = _engine_for(t, engine)
+    acc = SeriesAccumulator(t.target, trunc)
+    inf_end = any(rec.beta_inf) or rec.n_inf > 0
+    zero = SeriesAccumulator(t.target, trunc) if inf_end else acc
+    _cone_grade(zero, t, rec.beta0, rec.n0, engine)
+    if inf_end:
+        # Fibre kernels of different t-expansions can cancel at a term; ``terms`` holds no zero.
+        piece = [(a, [(z, b, e, c)]) for (z, a, b, e), c in zero.terms().items()]
+        _kernel_sum(acc, t, [(rec.beta_inf, rec.n_inf)], piece, _Kernel(engine))
+    return acc.series()
+
+
+def _parent_localisation_sum(t, trunc, engine=None):
+    acc = SeriesAccumulator(t.target, trunc)
+    for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
+        for n in range(trunc.epsilon_order + 1):
+            for rec in enumerate_splittings(t.target, beta, n):
+                acc.add_series(_parent_contribution(rec, t, trunc, engine))
     return acc.series()
 
 
@@ -184,3 +219,47 @@ def test_eps_order_zero_matches_reference(name, D, E, T, seed):
     t = TPolynomial.random(target, T, seed)
     outcomes = _compare_all(t, default_truncation(target, D, 0, T), CorrelatorEngine(target))
     assert outcomes[0][0] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the fixed-locus sum against the previous one
+
+
+def _exact_outcome(fn, *args):
+    """The term map a builder returns, or its overflow's type, z_exp and message."""
+    try:
+        out = fn(*args)
+    except TruncationOverflowError as exc:
+        return ("overflow", type(exc), exc.z_exp, str(exc))
+    return ("ok", out.terms)
+
+
+def _summed_contributions(t, trunc, engine):
+    acc = SeriesAccumulator(t.target, trunc)
+    for rec in _records(t.target, trunc):
+        acc.add_series(contribution(rec, t, trunc, engine))
+    return acc.series()
+
+
+def _sum_windows(wide):
+    """The default window and four narrow ones."""
+    narrow = [(-1, wide.z_max), (-2, 1), (-3, wide.z_max), (wide.z_min + 1, 1)]
+    return [wide] + [Truncation(wide.novikov_order, wide.epsilon_order, *window) for window in narrow]
+
+
+@pytest.mark.parametrize("name", ["point", "P1", "P2"])
+def test_localisation_sum_matches_the_per_record_series(name):
+    target = make_target(name)
+    engine = get_engine(target)
+    kinds = set()
+    for (D, E, T), seed in product([(1, 2, 1), (2, 2, 1), (2, 3, 2)], [3, 7, 11]):
+        t = TPolynomial.random(target, T, seed)
+        for trunc in _sum_windows(default_truncation(target, D, E, T)):
+            got = _exact_outcome(localisation_sum, t, trunc, engine)
+            assert got == _exact_outcome(_parent_localisation_sum, t, trunc, engine), (trunc, seed)
+            assert got == _exact_outcome(_summed_contributions, t, trunc, engine), (trunc, seed)
+            for rec in _records(target, trunc):
+                got_rec = _exact_outcome(contribution, rec, t, trunc, engine)
+                assert got_rec == _exact_outcome(_parent_contribution, rec, t, trunc, engine), (trunc, seed, rec)
+            kinds.add(got[0])
+    assert kinds == {"ok", "overflow"}

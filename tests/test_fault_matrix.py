@@ -100,10 +100,10 @@ def _generic_relabelled(real):
 
 
 def _case4_doubled(real):
-    """The contribution of every case4 record doubled."""
+    """The contribution of every case4 record doubled, as its integer-pair sums."""
     def wrapper(rec, *args):
-        value = real(rec, *args)
-        return value.scale(2) if rec.kind == "case4" else value
+        sums = real(rec, *args)
+        return {key: [2 * num, den] for key, (num, den) in sums.items()} if rec.kind == "case4" else sums
     return wrapper
 
 
@@ -161,7 +161,7 @@ FAULTS = {
         {"localisation"},
     ),
     "record-weight": (
-        [(localisation, "contribution", _case4_doubled)],
+        [(localisation, "_record_sums", _case4_doubled)],
         {"localisation"},
     ),
 }

@@ -187,6 +187,7 @@ def test_recursion_matches_reference(name, seed):
 # The functions that read an engine and fall back to the default one.
 BUILDERS = {
     "cone_point", "s_apply", "s_adjoint_corr_apply", "descendant_potential", "double_bracket", "contribution",
+    "localisation_sum",
 }
 
 
@@ -224,7 +225,7 @@ def test_checks_pass_their_engine_on(name, monkeypatch):
 
     for module in (checks, cone):
         monkeypatch.setattr(module, "get_engine", counted)
-    assert not hasattr(localisation, "get_engine")  # contribution asks cone._engine_for
+    assert not hasattr(localisation, "get_engine")  # the fixed-locus sums ask cone._engine_for
     with_engine = _suites(t, trunc, get_engine(target))
     assert lookups == []  # with an engine given, no builder picks the default
     assert _suites(t, trunc, None) == with_engine

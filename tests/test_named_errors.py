@@ -136,6 +136,41 @@ def test_an_integral_kernel_index_of_another_type_reads_as_its_int(index):
     assert engine.flow_block((1,), index, ((1, 0),)) is engine.flow_block((1,), 1, ((1, 0),))  # the cached block
 
 
+def test_flow_block_without_a_kernel_index_raises_invalid_key_error():
+    """None is the fibre mark of the block cache, so it read as a sign +1 fibre block."""
+    engine = CorrelatorEngine(P2)
+    with pytest.raises(InvalidKeyError, match=r"^insertions \[\(None, 0\)\] are not pairs of integers$"):
+        engine.correlator_with_kernel((1,), [(1, 0)], None, 1)
+    assert engine.fibre_block((1,), ((1, 0),), 1)  # the block None used to name is cached
+    with pytest.raises(InvalidKeyError, match=r"^insertions \[\(None, 0\)\] are not pairs of integers$"):
+        engine.flow_block((1,), None, ((1, 0),))
+
+
+# ---------------------------------------------------------------------------
+# negative sizes
+
+
+def test_splittings_of_a_negative_marking_count_raise_named_errors():
+    with pytest.raises(gwlab.OracleDomainError, match="^marking count must be non-negative$"):
+        oracles.brute_force_splittings(P2, (1,), -1)
+    with pytest.raises(MismatchError, match="^marking count -1 is negative$"):
+        gwlab.enumerate_splittings(P2, (1,), -1)
+    assert gwlab.enumerate_splittings(P2, (1,), 0) and oracles.brute_force_splittings(P2, (1,), 0)
+
+
+@pytest.mark.parametrize("build", [lambda: TPolynomial.random(P2, -1, 7), lambda: TPolynomial.zero(P2, -1)])
+def test_a_t_of_negative_degree_raises_mismatch_error(build):
+    with pytest.raises(MismatchError, match=r"^t needs a coefficient vector for z\^0 at least$"):
+        build()
+    assert TPolynomial.zero(P2, 0).degree == TPolynomial.random(P2, 0, 7).degree == 0
+
+
+def test_cli_still_refuses_a_negative_t_degree_as_a_configuration(capsys):
+    code = cli.main(["verify", "--suites", "darboux", "--target", "P2", "--T", "-1"])
+    assert code == cli.EXIT_CONFIG == 3
+    assert capsys.readouterr().err == "configuration error: T must be non-negative, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # an engine that serves another target
 

@@ -5,8 +5,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gwlab import checks, make_target
+from gwlab import checks, enumerate_splittings, make_target
 from gwlab.correlators import get_engine
+from gwlab.targets import iter_betas
+
+P2 = make_target("P2")
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "profile_layers.py"
 
@@ -31,6 +34,16 @@ def test_layers_partition_the_profiled_time():
     assert report["merge_calls"] > 0
     assert report["fraction_new_calls"] > 0
     assert 0 < report["fraction_own_share"] < 1
+
+
+def test_records_count_the_fixed_locus_records_summed():
+    spec = importlib.util.spec_from_file_location("profile_layers", _PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    report = tool.profile(["verify", "--target", "P2", "--D", "2", "--E", "2", "--T", "1", "--suites", "localisation"])
+    assert report["exit"] == 0
+    enumerated = sum(len(enumerate_splittings(P2, beta, n)) for beta in iter_betas(1, 2) for n in range(3))
+    assert report["records"] == enumerated > 0  # one localisation_sum, each record summed once
 
 
 def _called_names(code) -> set[str]:

@@ -14,6 +14,12 @@ both sides, and raise the same first overflow, over a sweep of narrow
 windows on the point, P1 and P2.  The one intended difference is direct:
 an out-of-window add that cancels before the series is built no longer
 raises.
+
+The fixed-locus records no longer build a series each: each record's
+sums are checked by ``localisation._window_checked``, so an accumulator
+whose sums it checks counts as building a series here.  The previous
+``localisation_sum``, which merged the series of ``contribution`` in
+turn, is patched in with the reference ``contribution``.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -71,6 +77,15 @@ def _reference_contribution(rec, t, trunc, engine=None):
     return acc.series()
 
 
+def _reference_localisation_sum(t, trunc, engine=None):
+    acc = _CheckingAccumulator(t.target, trunc)
+    for beta in iter_betas(t.target.class_rank, trunc.novikov_order):
+        for n in range(trunc.epsilon_order + 1):
+            for rec in enumerate_splittings(t.target, beta, n):
+                acc.add_series(localisation.contribution(rec, t, trunc, engine))
+    return acc.series()
+
+
 @contextmanager
 def _reference():
     """The builders as they were: every accumulator they make checks each add."""
@@ -78,6 +93,7 @@ def _reference():
         for module in (cone, localisation, matrices):
             stack.enter_context(mock.patch.object(module, "SeriesAccumulator", _CheckingAccumulator))
         stack.enter_context(mock.patch.object(localisation, "contribution", _reference_contribution))
+        stack.enter_context(mock.patch.object(localisation, "localisation_sum", _reference_localisation_sum))
         yield
 
 
@@ -166,6 +182,15 @@ class _Logged(SeriesAccumulator):
         return super().series()
 
 
+def _record_check_logged(real):
+    """``localisation._window_checked``, counting the accumulator whose sums
+    it checks, those of a fixed-locus record, as one that builds a series."""
+    def wrapper(sums, trunc):
+        _Logged.built += [acc for acc, _ in _Logged.outside if acc.pairs() is sums]
+        return real(sums, trunc)
+    return wrapper
+
+
 def _logged_outcome(fn, *args):
     """The builder's outcome, and the first key outside the window added to an
     accumulator that builds a series, with its final value."""
@@ -173,6 +198,8 @@ def _logged_outcome(fn, *args):
     with ExitStack() as stack:
         for module in (cone, localisation, matrices):
             stack.enter_context(mock.patch.object(module, "SeriesAccumulator", _Logged))
+        checked = _record_check_logged(localisation._window_checked)
+        stack.enter_context(mock.patch.object(localisation, "_window_checked", checked))
         out = _outcome(fn, *args)
     first = next(
         ((key, acc.terms().get(key, 0)) for acc, key in _Logged.outside if any(acc is b for b in _Logged.built)),
@@ -193,8 +220,9 @@ def _compare(t, trunc, engine):
     for label, fn, args in _builders(t, trunc, engine):
         got, first = _logged_outcome(fn, *args)
         with _reference():
-            # localisation_sum reaches contribution through the module.
-            expected = _outcome(localisation.contribution if fn is contribution else fn, *args)
+            # The reference sum reaches the reference contribution through the module.
+            reference = {contribution: localisation.contribution, localisation_sum: localisation.localisation_sum}
+            expected = _outcome(reference.get(fn, fn), *args)
         if expected[0] == "ok":
             assert got == expected, label
             continue

@@ -47,8 +47,10 @@ kernel slices built, each of which asks for its blocks once.  Every
 graded sum ends in ``series.merge``, so ``merge_calls`` counts the merged
 products; ``acc_add_calls`` counts only the direct
 ``SeriesAccumulator.add`` calls, which are the cone point's degree-zero
-pieces (194 in the default run), since the kernel sum, ``add_series`` and
-``apply_linear`` merge their terms without it.
+pieces, since the kernel sum, ``add_series`` and ``apply_linear`` merge
+their terms without it.  ``records``, the calls of
+``localisation._record_sums``, counts the fixed-locus records summed,
+each once per ``localisation_sum``.
 """
 
 from __future__ import annotations
@@ -178,6 +180,7 @@ def profile(args: list[str]) -> dict:
         "kernel_sum": {"calls": sum_calls, "cum_s": round(sum_cum, 3), "share": round(sum_cum / total, 3)},
         "acc_add_calls": _calls(stats, series.SeriesAccumulator.add),
         "merge_calls": _calls(stats, series.merge),
+        "records": _calls(stats, localisation._record_sums),
         "fraction_new_calls": _calls(stats, series.Fraction.__new__),
         "top_own": [
             {"function": f"{Path(fname).name}:{line}({fn})", "calls": calls, "own_s": round(own, 3)}
