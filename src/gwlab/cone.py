@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from numbers import Rational
 from typing import NamedTuple
 
 from .correlators import (
@@ -50,6 +51,9 @@ class TPolynomial:
         for vec in self.coeffs:
             if len(vec) != self.target.rank:
                 raise MismatchError("coefficient vector length does not match the basis")
+            for c in vec:
+                if not isinstance(c, Rational):
+                    raise MismatchError(f"coefficient {c!r} is not a rational number")
 
     @cached_property
     def _hash(self) -> int:
@@ -93,14 +97,14 @@ def dilaton_shift(t: TPolynomial, trunc: Truncation) -> LoopSeries:
     return acc.series()
 
 
-@lru_cache(maxsize=_EXPANSIONS_CACHE_SIZE)
 def _expansions(t: TPolynomial, n: int) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
     """Multilinear expansion of n identical t(psi) slots.
 
     Yields (weight, insertions) over multisets of monomials of t, with
     weight prod_j c_j^{m_j} / m_j! -- the 1/n! of the generating sum
     combined with the multinomial count of orderings -- formed once from
-    the integer products of its numerators and denominators.
+    the integer products of its numerators and denominators.  Read
+    through ``_expansions_by_dim``, which caches it.
     """
     monos = t.monomials()
     out = []
@@ -148,17 +152,12 @@ def default_truncation(target: TargetSpace, D: int, E: int, T: int) -> Truncatio
     return Truncation(D, E, z_min, z_max)
 
 
-def _stable_pairs(
-    target: TargetSpace, trunc: Truncation, extra_points: int, eps_order: int | None = None
-):
+def _stable_pairs(target: TargetSpace, trunc: Truncation, extra_points: int, eps_order: int | None = None) -> list:
     """(beta, n) pairs with beta within the Novikov order and n at most
     ``eps_order`` (the truncation's eps order by default) for which
-    (beta, n + extra_points) is a stable configuration."""
+    (beta, n + extra_points) is stable, as ``_bracket_grades`` lists them."""
     top = trunc.epsilon_order if eps_order is None else eps_order
-    for beta in iter_betas(target.class_rank, trunc.novikov_order):
-        for n in range(top + 1):
-            if is_stable(beta, n + extra_points):
-                yield beta, n
+    return [(beta, n) for beta, n, _ in _bracket_grades(target, trunc.novikov_order, top, extra_points)]
 
 
 class _Kernel(NamedTuple):
@@ -188,20 +187,20 @@ class _Kernel(NamedTuple):
 def _slice(t: TPolynomial, beta, n: int, key, block) -> tuple:
     """The kernel slice, sum weight * block(beta, key, monos) over the
     expansions (weight, monos) of n t-slots, as its nonzero integer sums
-    (z_k, rho, num, den).  A ``_Kernel`` is not asked for a block whose
-    expansion's dimension, the sum of deg a + k over monos, leaves it no
-    ``room``.  Kept slices, tuples of integers, are not tracked by the garbage collector.
+    (z_k, rho, num, den), walked in ``_expansions_by_dim`` groups.  A
+    ``_Kernel`` is not asked for the blocks of a group whose dimension
+    leaves it no ``room``.  Kept slices, tuples of integers, are not tracked by the garbage collector.
     """
     sums: dict = {}
     cap = block.room(beta, key) + n if isinstance(block, _Kernel) else None
-    degree = t.target.basis_degrees
-    for weight, monos in _expansions(t, n):
-        if cap is not None and sum(degree[a] + k for a, k in monos) > cap:
+    for dim, group in _expansions_by_dim(t, n).items():
+        if cap is not None and dim > cap:
             continue
-        wn, wd = weight.numerator, weight.denominator
-        for z_k, comps in block(beta, key, monos).items():
-            for rho, cn, cd in comps:
-                merge(sums, (z_k, rho), wn * cn, wd * cd)
+        for weight, monos in group:
+            wn, wd = weight.numerator, weight.denominator
+            for z_k, comps in block(beta, key, monos).items():
+                for rho, cn, cd in comps:
+                    merge(sums, (z_k, rho), wn * cn, wd * cd)
     return tuple((z_k, rho, num, den) for (z_k, rho), (num, den) in sums.items() if num)
 
 
@@ -404,46 +403,43 @@ def double_bracket(
         sum Q^beta eps^n / n! <fixed..., t(psi), ..., t(psi)>_{0, n+r, beta}
 
     over the stable range.  ``extra_eps`` shifts the eps grading, used
-    when a fixed slot is itself a t-monomial carrying its own order.
+    when a fixed slot is itself a t-monomial carrying its own order.  The
+    fixed slots are checked before any grade, so a malformed slot raises
+    even where no expansion fills its dimension.
     """
     fixed = tuple(sorted(_int_pairs(fixed)))
     if not fixed:
         raise StabilityError("needs at least one fixed insertion")
-    return _bracket_sum(t, fixed, trunc, _engine_for(t, engine), extra_eps)
+    engine = _engine_for(t, engine)
+    engine._check_key(*canonical_key((), fixed))
+    if not isinstance(extra_eps, int) or extra_eps < 0:
+        raise MismatchError(f"extra_eps {extra_eps!r} is not a non-negative integer")
+    return _bracket_sum(t, fixed, trunc, engine, extra_eps)
 
 
 def _bracket_sum(t, fixed, trunc, engine, extra_eps) -> ScalarSeries:
-    """sum Q^beta eps^(n + extra_eps) / n! <fixed..., t(psi) x n> over the
-    stable (beta, n), leaving out the insertion-free correlators.
+    """sum Q^beta eps^(n + extra_eps) / n! <fixed..., t(psi) x n>, for checked
+    fixed slots, over the stable (beta, n) but the insertion-free ones.
 
     Only the expansions that fill what the fixed slots leave of the
     virtual dimension, read from ``_bracket_grades``, are looked up; the
-    rest fail the engine's dimension filter and are zero.  The fixed
-    slots are checked as ``engine.correlator`` checks a key, at the first
-    grade that has an expansion, so a malformed slot raises there even if
-    no expansion fills its dimension.  Each expansion's key, (beta, the
-    sorted fixed slots and t-monomials), is read straight from the
-    engine's value table: only well-formed keys are cached and every
-    grade is stable, so a hit needs no check.  A miss asks
-    ``engine.correlator``, which checks and reduces the key, with the
+    rest fail the engine's dimension filter and are zero.  Each
+    expansion's key, (beta, the sorted fixed slots and t-monomials), is
+    read straight from the engine's value table: only well-formed keys are
+    cached and every grade is stable, so a hit needs no check.  A miss
+    asks ``engine.correlator``, which checks and reduces the key, with the
     errors it always raised.  A zero value is skipped: its product would
     insert no key into the sums.
     """
     target = t.target
     top = trunc.epsilon_order - extra_eps
     views = [_expansions_by_dim(t, n) for n in range(top + 1)]
+    used = sum(target.degree(a) + k for a, k in fixed)
     read = engine._values.get
-    used = None
     sums: dict = {}
     for beta, n, dim in _bracket_grades(target, trunc.novikov_order, top, len(fixed)):
-        view = views[n]
-        if not view:
-            continue
-        if used is None:
-            engine._check_key(*canonical_key(beta, fixed))
-            used = sum(target.degree(a) + k for a, k in fixed)
         grade = (beta, n + extra_eps)
-        for weight, monos in view.get(dim - used, ()):
+        for weight, monos in views[n].get(dim - used, ()):
             ins = fixed + monos
             val = read((beta, tuple(sorted(ins))))
             if val is None:
@@ -461,10 +457,10 @@ _GRADES_CACHE_SIZE = 256
 @lru_cache(maxsize=_GRADES_CACHE_SIZE)
 def _bracket_grades(target: TargetSpace, D: int, top: int, fixed: int) -> tuple:
     """The grades (beta, n, vdim) of a bracket with ``fixed`` fixed slots:
-    the (beta, n) of ``_stable_pairs`` up to eps order ``top``, less n = 0
-    when no slot is fixed (the insertion-free correlators), each with the
-    virtual dimension of (beta, n + fixed).  One table per target, orders
-    and slot count, kept across calls and engines."""
+    beta up to degree D and n up to ``top`` with (beta, n + fixed) stable,
+    less n = 0 when no slot is fixed (the insertion-free correlators),
+    each with the virtual dimension of (beta, n + fixed).  One table per
+    target, orders and slot count, kept across calls and engines."""
     return tuple(
         (beta, n, vdim(target, beta, n + fixed))
         for beta in iter_betas(target.class_rank, D)

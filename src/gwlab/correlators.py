@@ -77,9 +77,9 @@ Block = dict[int, tuple[tuple[int, int, int], ...]]
 
 # Entries are keyed by t, so an unbounded cache would keep every t a
 # long-lived process has seen; a few dozen covers the working set of one
-# verify run: one t, with n up to the eps order in ``cone._expansions``,
-# and the values the suites share in ``CorrelatorEngine.shared``, with a
-# store of kernel slices per kind of ``cone._kernel_sum``.
+# verify run: one t, with n up to the eps order in the one expansion cache
+# ``cone._expansions_by_dim``, and the values the suites share in
+# ``CorrelatorEngine.shared``, with a store of kernel slices per kind.
 _EXPANSIONS_CACHE_SIZE = 64
 
 
@@ -214,16 +214,23 @@ class CorrelatorEngine:
         The dimension filter selects at most one surviving psi depth l,
         so the returned map is finite (at most one key).
         """
-        beta, fixed = canonical_key(beta, fixed)
-        kernel = tuple(_int_pairs([(kernel_alpha, 0)]))  # the index read as an int, as canonical_key reads slots
-        kernel_alpha = kernel[0][0]
-        self._check_key(beta, fixed + kernel)
-        m = len(fixed) + 1
-        if not is_stable(beta, m):
-            raise StabilityError(f"kernel correlator unstable: beta={beta}, {m} insertions")
+        beta, fixed, ((kernel_alpha, _),) = self._kernel_key(beta, fixed, [(kernel_alpha, 0)], 0)
         l = self._room(beta, fixed) - self.target.degree(kernel_alpha)
         val = self._kernel(beta, fixed + ((kernel_alpha, l),), l, sign) if l >= 0 else 0
         return {-1 - l: val} if val else {}
+
+    def _kernel_key(self, beta: NovikovDegree, fixed: Iterable, kernel: Iterable, spare: int) -> tuple:
+        """A kernel correlator's degree, fixed slots and kernel slot (the index
+        at psi^0), read as ``canonical_key`` and ``_int_pairs`` read them and
+        checked.  ``spare`` more slots, a block's phi_gamma, range over the
+        basis: they count toward stability but need no check."""
+        beta, fixed = canonical_key(beta, fixed)
+        kernel = tuple(_int_pairs(kernel))
+        self._check_key(beta, fixed + kernel)
+        m = len(fixed) + len(kernel) + spare
+        if not is_stable(beta, m):
+            raise StabilityError(f"kernel correlator unstable: beta={beta}, {m} insertions")
+        return beta, fixed, kernel
 
     def _room(self, beta: NovikovDegree, slots: tuple) -> int:
         """The kernel dimension filter: a kernel class of degree d beside
@@ -267,11 +274,11 @@ class CorrelatorEngine:
         The kernel sits on phi_gamma when ``kernel_alpha`` is None (a fibre
         block), else on phi_a with phi_gamma a plain slot (a flow block).
         The block is built in one pass over the basis, at the cost of its
-        values.  The key is canonicalised once and checked once, as
-        ``correlator_with_kernel`` checks the gamma = 0 kernel correlator:
-        the others differ from it in gamma alone.  The ``_room`` the slots
-        beside phi_gamma leave is worked out once, and only the gamma that
-        fit it, gamma = 0 among them, are reduced, each read through
+        values.  Its key is canonicalised and checked once, by
+        ``_kernel_key`` as for ``correlator_with_kernel``, with phi_gamma
+        a spare slot: the block's correlators differ in gamma alone.  The
+        ``_room`` the slots beside phi_gamma leave is worked out once, and
+        only the gamma that fit it are reduced, each read through
         ``_kernel``.  Each value is merged on integer pairs along the sparse
         ``dual_terms`` of phi^gamma; these are independent, so no
         z-exponent a value reaches sums to the zero vector.  ``_kernel``
@@ -280,17 +287,7 @@ class CorrelatorEngine:
         format that ``cone._kernel_sum`` reads, and no ``Fraction`` is formed.
         """
         key = (beta, kernel_alpha, fixed, sign)
-        beta, fixed = canonical_key(beta, fixed)
-        if kernel_alpha is None:
-            kernel = ()
-        else:  # the kernel index is read as an int, as canonical_key reads the fixed slots
-            kernel = tuple(_int_pairs([(kernel_alpha, 0)]))
-            kernel_alpha = kernel[0][0]
-        # The gamma = 0 kernel correlator's insertions, as correlator_with_kernel checks them.
-        checked = fixed + ((0, 0),) if kernel_alpha is None else tuple(sorted(fixed + ((0, 0),))) + kernel
-        self._check_key(beta, checked)
-        if not is_stable(beta, len(checked)):
-            raise StabilityError(f"kernel correlator unstable: beta={beta}, {len(checked)} insertions")
+        beta, fixed, kernel = self._kernel_key(beta, fixed, () if kernel_alpha is None else [(kernel_alpha, 0)], 1)
         room = self._room(beta, fixed + kernel)
         sums: dict[int, dict] = {}
         deg = self._degrees
@@ -298,7 +295,7 @@ class CorrelatorEngine:
             l = room - deg[gamma]
             if l < 0:
                 continue
-            slots = ((gamma, l),) if kernel_alpha is None else ((gamma, 0), (kernel_alpha, l))
+            slots = ((gamma, 0), (kernel[0][0], l)) if kernel else ((gamma, l),)
             val = self._kernel(beta, fixed + slots, l, 1)
             if val:
                 vn = -val.numerator if sign < 0 and l % 2 == 0 else val.numerator

@@ -79,6 +79,8 @@ def enumerate_splittings(target: TargetSpace, beta: NovikovDegree, n: int) -> li
     """
     if n < 0:
         raise MismatchError(f"marking count {n} is negative")
+    if len(beta) != target.class_rank or not all(isinstance(b, int) and b >= 0 for b in beta):
+        raise MismatchError(f"degree {beta} is not a non-negative class of rank {target.class_rank} on {target.name}")
     records = []
     for beta0, beta_inf in beta_splits(beta):
         d0 = any(beta0)

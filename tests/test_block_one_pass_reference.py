@@ -248,11 +248,10 @@ def test_miss_checks_its_key_once_and_a_hit_asks_nothing(monkeypatch):
     engine = CorrelatorEngine(make_target("P2"))
     engine.fibre_block((2,), ((2, 1),), -1)
     engine.flow_block((1,), 1, ((2, 0), (1, 0)))
-    # The key as the gamma = 0 kernel correlator has it: the kernel on phi_0
-    # for a fibre block, the plain slot phi_0 beside the kernel for a flow block.
+    # The fixed slots, then the kernel index of a flow block; phi_gamma ranges over the basis unchecked.
     assert [args for name, args in asked if name == "_check_key"] == [
-        ((2,), ((2, 1), (0, 0))),
-        ((1,), ((0, 0), (1, 0), (2, 0), (1, 0))),
+        ((2,), ((2, 1),)),
+        ((1,), ((1, 0), (2, 0), (1, 0))),
     ]
     # Every class fits both kernels, so each value is read through _kernel, gamma = 0 first.
     assert [args[1][-1] for name, args in asked if name == "_kernel"] == [

@@ -21,7 +21,7 @@ from gwlab import (
     tangent_vector,
     universal_relation,
 )
-from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions, _expansions_by_dim
+from gwlab.cone import _EXPANSIONS_CACHE_SIZE, _expansions_by_dim
 from gwlab.correlators import StabilityError
 
 PT = make_target("point")
@@ -227,10 +227,10 @@ def test_tangent_vector_above_window_names_the_bound():
 
 def test_expansions_cache_is_bounded():
     tr = default_truncation(P2, 2, 2, 1)
-    _expansions.cache_clear()
+    _expansions_by_dim.cache_clear()
     for seed in range(51):
         check_polynomiality(TPolynomial.random(P2, 1, seed), tr)
-    assert _expansions.cache_info().currsize <= _EXPANSIONS_CACHE_SIZE
+    assert _expansions_by_dim.cache_info().currsize <= _EXPANSIONS_CACHE_SIZE
 
 
 def test_tangent_vector_eps_zero_part():

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from gwlab import checks, cli, cone, localisation, matrices
-from gwlab.cone import _expansions, _expansions_by_dim
+from gwlab.cone import _expansions_by_dim
 from gwlab.correlators import CorrelatorEngine, get_engine
 from gwlab.matrices import EndoSeries
 from gwlab.series import LoopSeries
@@ -170,7 +170,6 @@ FAULTS = {
 def _clear_caches():
     """Faulty values land in the engines' and the expansions' caches."""
     get_engine.cache_clear()
-    _expansions.cache_clear()
     _expansions_by_dim.cache_clear()
 
 

@@ -438,7 +438,9 @@ def test_a_p1_engine_given_a_p2_t_raises_as_reference(warm):
 @pytest.mark.parametrize("name", TARGETS)
 def test_malformed_fixed_slots_raise_as_reference(name, seed):
     """A negative psi power or a bad basis index in a fixed slot, alone or
-    beside a valid one, on fresh and warm engines."""
+    beside a valid one, on fresh and warm engines, through ``double_bracket``,
+    which checks the slots before any grade.  Every case here has a grade
+    with an expansion, so none raises where the reference returned zero."""
     target, t, trunc = _setting(name, seed)
     rank = target.rank
     warm = CorrelatorEngine(target)
@@ -450,7 +452,7 @@ def test_malformed_fixed_slots_raise_as_reference(name, seed):
             for extra_eps in (0, 1):
                 for engine in (CorrelatorEngine(target), warm):
                     want = _bracket_outcome(_bracket_sum, t, fixed, trunc, engine, extra_eps)
-                    assert _bracket_outcome(cone._bracket_sum, t, fixed, trunc, engine, extra_eps) == want
+                    assert _bracket_outcome(cone.double_bracket, t, fixed, trunc, engine, extra_eps) == want
                     raised += want[0] == "InvalidKeyError"
     assert raised
 

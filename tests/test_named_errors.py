@@ -7,6 +7,7 @@ answer from an engine of another target.  Each now raises a
 always had where it had one; the CLI keeps its exit codes.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,41 @@ def test_a_t_of_negative_degree_raises_mismatch_error(build):
     with pytest.raises(MismatchError, match=r"^t needs a coefficient vector for z\^0 at least$"):
         build()
     assert TPolynomial.zero(P2, 0).degree == TPolynomial.random(P2, 0, 7).degree == 0
+
+
+@pytest.mark.parametrize("extra_eps", [-1, 0.5, "1", None])
+def test_double_bracket_refuses_an_extra_eps_that_is_not_a_non_negative_integer(extra_eps):
+    """A negative shift used to return a term at eps order -1, and one that
+    is not an integer to end in a ``TypeError``."""
+    t, trunc = TPolynomial.random(P2, 1, 7), default_truncation(P2, 2, 2, 1)
+    message = f"^extra_eps {re.escape(repr(extra_eps))} is not a non-negative integer$"
+    with pytest.raises(MismatchError, match=message):
+        double_bracket(t, ((2, 0), (2, 0)), trunc, extra_eps=extra_eps)
+    assert double_bracket(t, ((2, 0), (2, 0)), trunc).terms
+
+
+@pytest.mark.parametrize("beta", [(1, 2), (-1,), (), (1.5,)])
+def test_splittings_of_a_degree_outside_the_target_raise_mismatch_error(beta):
+    """A two-entry degree on P2 used to give records of two-entry degrees, and (-1,) no record."""
+    message = f"^degree {re.escape(str(beta))} is not a non-negative class of rank 1 on P2$"
+    with pytest.raises(MismatchError, match=message):
+        gwlab.enumerate_splittings(P2, beta, 1)
+    assert gwlab.enumerate_splittings(make_target("point"), (), 3)
+
+
+@pytest.mark.parametrize("coeff", [0.5, "a", None, 1j])
+def test_a_t_coefficient_that_is_not_rational_raises_mismatch_error(coeff):
+    """It used to end in an AttributeError on ``numerator`` once a builder read it."""
+    with pytest.raises(MismatchError, match=f"^coefficient {re.escape(repr(coeff))} is not a rational number$"):
+        TPolynomial(P2, ((Fraction(1), coeff, 0),))
+
+
+def test_a_t_of_int_coefficients_reads_as_its_fractions():
+    trunc = default_truncation(P2, 2, 2, 1)
+    ints = TPolynomial(P2, ((1, 0, -2), (0, 3, 1)))
+    fractions = TPolynomial(P2, tuple(tuple(map(Fraction, row)) for row in ints.coeffs))
+    want = list(gwlab.cone_point(fractions, trunc).terms.items())
+    assert want and list(gwlab.cone_point(ints, trunc).terms.items()) == want
 
 
 def test_cli_still_refuses_a_negative_t_degree_as_a_configuration(capsys):

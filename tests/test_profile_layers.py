@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 from gwlab import checks, enumerate_splittings, make_target
-from gwlab.correlators import get_engine
+from gwlab.correlators import CorrelatorEngine, get_engine
 from gwlab.targets import iter_betas
 
 P2 = make_target("P2")
@@ -69,3 +69,16 @@ def test_every_helper_of_the_span_solve_is_linear_algebra():
                 todo.append(called)
     assert {"_solve_membership", "_integral", "_peel", "_reduce"} <= seen
     assert {name: tool._NAMED.get(name) for name in seen} == dict.fromkeys(seen, "linear_algebra")
+
+
+def test_every_engine_helper_a_block_calls_is_block_assembly():
+    spec = importlib.util.spec_from_file_location("profile_layers", _PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    called = {
+        f"CorrelatorEngine.{name}"
+        for name in _called_names(CorrelatorEngine._block.__code__)
+        if inspect.isfunction(getattr(CorrelatorEngine, name, None))
+    }
+    assert {"CorrelatorEngine._kernel_key", "CorrelatorEngine._room", "CorrelatorEngine._kernel"} <= called
+    assert {name: tool._NAMED.get(name) for name in called} == dict.fromkeys(called, "block_assembly")

@@ -6,8 +6,9 @@ discarded.  Each gwlab function belongs to one layer:
 
 - ``reduction``: correlator reduction in ``correlators.py`` (and the
   ``oracles`` it is checked against);
-- ``block_assembly``: the fibre and flow kernel blocks, ``_block`` and the
-  kernel correlators it asks for, up to the reduction they start;
+- ``block_assembly``: the fibre and flow kernel blocks, ``_block`` with
+  the key check it shares with ``correlator_with_kernel`` and the kernel
+  correlators it asks for, up to the reduction they start;
 - ``accumulation``: graded series accumulation and convolution in
   ``series.py``, ``cone.py`` (the kernel slices ``cone._slice`` builds
   among them), ``localisation.py`` and the matrix builders of
@@ -75,7 +76,8 @@ LAYERS = ("reduction", "block_assembly", "accumulation", "linear_algebra", "othe
 _NAMED = {
     **dict.fromkeys(
         ("CorrelatorEngine._block", "CorrelatorEngine.fibre_block", "CorrelatorEngine.flow_block",
-         "CorrelatorEngine.correlator_with_kernel", "CorrelatorEngine._kernel", "CorrelatorEngine._room"),
+         "CorrelatorEngine.correlator_with_kernel", "CorrelatorEngine._kernel_key", "CorrelatorEngine._kernel",
+         "CorrelatorEngine._room"),
         "block_assembly",
     ),
     **dict.fromkeys(("_solve_membership", "_integral", "_peel", "_reduce"), "linear_algebra"),
